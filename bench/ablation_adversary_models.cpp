@@ -14,6 +14,8 @@
 // process, not the adversary's modeling error. All three coincide at low
 // traffic where no preemption happens.
 
+#include <algorithm>
+
 #include "bench_util.h"
 #include "metrics/table.h"
 #include "workload/scenario.h"

@@ -24,7 +24,6 @@
 #include "bench_util.h"
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/disciplines.h"
 #include "core/factories.h"
 #include "crypto/payload.h"
 #include "infotheory/estimators.h"

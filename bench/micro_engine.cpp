@@ -6,10 +6,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 
-#include "core/disciplines.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"

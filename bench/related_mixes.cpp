@@ -2,7 +2,7 @@
 // rebuilt as forwarding disciplines and compared on one 9-hop path:
 //
 //   * SG-Mix (Kesdogan; Danezis proved it optimal for a single node):
-//     independent Exp(µ) delay per packet = our UnlimitedDelaying.
+//     independent Exp(µ) delay per packet = our unlimited delaying.
 //   * Order-preserving FIFO (the §3.2 strawman): M/M/1 service — packets
 //     never reorder, so the adversary keeps creation order for free.
 //   * Timed pool mix (Chaum lineage): batch flushes with a retained pool.

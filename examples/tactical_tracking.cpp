@@ -18,7 +18,7 @@
 
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/disciplines.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/table.h"
 #include "net/network.h"
@@ -73,13 +73,9 @@ int main() {
   // Per-node RCAD disciplines from the dimensioned µ values.
   sim::Simulator sim;
   net::DisciplineFactory factory =
-      [&node_mus, kSlots](net::NodeId id, std::uint16_t)
-      -> std::unique_ptr<net::ForwardingDiscipline> {
-    if (node_mus[id] <= 0.0) {
-      return std::make_unique<core::ImmediateForwarding>();
-    }
-    return std::make_unique<core::RcadDiscipline>(
-        std::make_unique<core::ExponentialDelay>(1.0 / node_mus[id]), kSlots);
+      [&node_mus, kSlots](net::NodeId id, std::uint16_t) {
+    if (node_mus[id] <= 0.0) return core::DisciplineSpec::immediate();
+    return core::DisciplineSpec::rcad_exponential(1.0 / node_mus[id], kSlots);
   };
   net::Network network(sim, built.topology, factory, {},
                        sim::RandomStream(404));
@@ -119,7 +115,7 @@ int main() {
   for (std::size_t i = 0; i < built.sources.size(); ++i) {
     const net::NodeId source = built.sources[i];
     table.add_row(
-        {"S" + std::to_string(i + 1),
+        {std::string("S").append(std::to_string(i + 1)),
          std::to_string(routing.hops_to_sink(source)),
          metrics::format_number(truth.score_flow(baseline, source).mse(), 1),
          metrics::format_number(truth.score_flow(adaptive, source).mse(), 1),

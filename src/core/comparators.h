@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/delay_distribution.h"
+#include "core/discipline_spec.h"
 #include "net/forwarding.h"
 
 namespace tempriv::core {
@@ -15,9 +16,9 @@ namespace tempriv::core {
 /// out all previous packets". Concretely an M/M/1-style FIFO: one packet
 /// in service at a time, service time drawn from the delay distribution;
 /// later packets queue behind it. Compared with independent per-packet
-/// delays (UnlimitedDelaying, the M/M/∞ model) it never reorders — which
-/// is exactly why it protects less: the adversary keeps the creation order
-/// for free, and queueing couples consecutive delays.
+/// delays (DisciplineKind::kUnlimitedDelay, the M/M/∞ model) it never
+/// reorders — which is exactly why it protects less: the adversary keeps the
+/// creation order for free, and queueing couples consecutive delays.
 ///
 /// Stability caveat (classic M/M/1): if the arrival rate exceeds 1/mean,
 /// the queue grows without bound; the caller picks parameters.

@@ -5,16 +5,23 @@
 
 namespace tempriv::core {
 
-DisciplineSpec DisciplineSpec::immediate() {
-  return {net::DisciplineKind::kImmediate, nullptr, 0,
-          VictimPolicy::kShortestRemaining};
+void DisciplineSpec::validate() const {
+  if (kind == DisciplineKind::kImmediate) return;
+  if (!delay) throw std::invalid_argument("DisciplineSpec: null distribution");
+  if ((kind == DisciplineKind::kDropTail || kind == DisciplineKind::kRcad) &&
+      capacity == 0) {
+    throw std::invalid_argument("DisciplineSpec: capacity must be >= 1");
+  }
 }
+
+DisciplineSpec DisciplineSpec::immediate() { return {}; }
 
 DisciplineSpec DisciplineSpec::unlimited(
     std::shared_ptr<const DelayDistribution> delay) {
-  if (!delay) throw std::invalid_argument("DisciplineSpec: null distribution");
-  return {net::DisciplineKind::kUnlimitedDelay, std::move(delay), 0,
-          VictimPolicy::kShortestRemaining};
+  DisciplineSpec spec{DisciplineKind::kUnlimitedDelay, std::move(delay), 0,
+                      VictimPolicy::kShortestRemaining};
+  spec.validate();
+  return spec;
 }
 
 DisciplineSpec DisciplineSpec::unlimited_exponential(double mean_delay) {
@@ -23,12 +30,10 @@ DisciplineSpec DisciplineSpec::unlimited_exponential(double mean_delay) {
 
 DisciplineSpec DisciplineSpec::droptail(
     std::shared_ptr<const DelayDistribution> delay, std::size_t capacity) {
-  if (!delay) throw std::invalid_argument("DisciplineSpec: null distribution");
-  if (capacity == 0) {
-    throw std::invalid_argument("DisciplineSpec: capacity must be >= 1");
-  }
-  return {net::DisciplineKind::kDropTail, std::move(delay), capacity,
-          VictimPolicy::kShortestRemaining};
+  DisciplineSpec spec{DisciplineKind::kDropTail, std::move(delay), capacity,
+                      VictimPolicy::kShortestRemaining};
+  spec.validate();
+  return spec;
 }
 
 DisciplineSpec DisciplineSpec::droptail_exponential(double mean_delay,
@@ -40,11 +45,10 @@ DisciplineSpec DisciplineSpec::droptail_exponential(double mean_delay,
 DisciplineSpec DisciplineSpec::rcad(
     std::shared_ptr<const DelayDistribution> delay, std::size_t capacity,
     VictimPolicy victim) {
-  if (!delay) throw std::invalid_argument("DisciplineSpec: null distribution");
-  if (capacity == 0) {
-    throw std::invalid_argument("DisciplineSpec: capacity must be >= 1");
-  }
-  return {net::DisciplineKind::kRcad, std::move(delay), capacity, victim};
+  DisciplineSpec spec{DisciplineKind::kRcad, std::move(delay), capacity,
+                      victim};
+  spec.validate();
+  return spec;
 }
 
 DisciplineSpec DisciplineSpec::rcad_exponential(double mean_delay,

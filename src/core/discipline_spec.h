@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <variant>
 
 #include "core/delay_buffer.h"
 #include "core/delay_distribution.h"
@@ -9,21 +12,46 @@
 
 namespace tempriv::core {
 
-/// Value-type description of a uniform built-in forwarding policy — the
-/// allocation-light alternative to a DisciplineFactory for networks where
-/// every node runs the same built-in. Network's spec constructor lays node
-/// state out in its flat per-node arrays directly from this description:
-/// no per-node discipline objects, no per-node factory std::function calls,
-/// and one shared delay-distribution object for the whole network — the
-/// construction path a 10⁶-node simulation needs.
+/// The built-in forwarding policies Network implements itself, in flat
+/// per-node arrays with a switch on the forwarding hot path.
+enum class DisciplineKind : std::uint8_t {
+  /// Case 1 of the paper's evaluation: forward every packet the instant it
+  /// arrives. Latency = hop count × τ exactly.
+  kImmediate,
+  /// Case 2: delay every packet by an independent draw, unbounded buffer
+  /// (the idealized M/M/∞ model of §4 when the delays are exponential).
+  kUnlimitedDelay,
+  /// The M/M/k/k model of §4 with plain dropping: an arrival that finds all
+  /// `capacity` slots full is discarded (counted in node_drops()).
+  kDropTail,
+  /// RCAD — Rate-Controlled Adaptive Delaying (paper §5). Like kDropTail,
+  /// except that a full buffer *preempts* a held packet instead of dropping
+  /// the arrival: the victim (by default the shortest remaining delay) has
+  /// its release cancelled and is transmitted now, then the arrival is
+  /// admitted with a fresh delay. Preemption adapts the effective service
+  /// rate µ to the offered load with no signalling.
+  kRcad,
+};
+
+/// Value-type description of a built-in forwarding policy — what a
+/// DisciplineFactory returns for a node that runs one of the built-ins.
+/// Network lays the node's state out in its flat per-node arrays from this
+/// description; no per-node discipline object is ever built. Nodes may share
+/// one delay-distribution object (sample() is const).
 struct DisciplineSpec {
-  net::DisciplineKind kind = net::DisciplineKind::kImmediate;
-  /// Shared across all nodes; required unless kind == kImmediate.
+  DisciplineKind kind = DisciplineKind::kImmediate;
+  /// Required unless kind == kImmediate.
   std::shared_ptr<const DelayDistribution> delay;
   /// Buffer slots per node (kDropTail / kRcad; ignored otherwise).
   std::size_t capacity = 0;
   /// RCAD victim-selection rule (kRcad only).
   VictimPolicy victim = VictimPolicy::kShortestRemaining;
+
+  /// The one place the spec invariants live: throws std::invalid_argument
+  /// if a buffering kind has no delay distribution, or a drop-tail/RCAD
+  /// spec has capacity 0. The helpers below and Network (on every spec it
+  /// adopts, since a factory may aggregate-initialise one) both call it.
+  void validate() const;
 
   static DisciplineSpec immediate();
   static DisciplineSpec unlimited(
@@ -42,3 +70,18 @@ struct DisciplineSpec {
 };
 
 }  // namespace tempriv::core
+
+namespace tempriv::net {
+
+/// A node's discipline: a built-in policy as a value, or a custom
+/// ForwardingDiscipline object (which must not be null).
+using DisciplineChoice =
+    std::variant<core::DisciplineSpec, std::unique_ptr<ForwardingDiscipline>>;
+
+/// Builds the discipline for node `id` (which is `hops_to_sink` hops from
+/// the sink) — lets a scenario give every node its own policy or delay
+/// parameters, e.g. the §3.3 sink-weighted decomposition.
+using DisciplineFactory =
+    std::function<DisciplineChoice(NodeId id, std::uint16_t hops_to_sink)>;
+
+}  // namespace tempriv::net

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "core/delay_buffer.h"
+#include "core/discipline_spec.h"
 #include "net/forwarding.h"
 
 namespace tempriv::core {

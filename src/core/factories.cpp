@@ -3,76 +3,66 @@
 #include <memory>
 #include <utility>
 
-#include "core/disciplines.h"
-
 namespace tempriv::core {
 
+namespace {
+
+/// Every node gets a copy of `spec`, so the whole network shares its one
+/// delay distribution — immutable, and sample() is const.
+net::DisciplineFactory uniform(DisciplineSpec spec) {
+  return [spec = std::move(spec)](net::NodeId, std::uint16_t) { return spec; };
+}
+
+}  // namespace
+
 net::DisciplineFactory immediate_factory() {
-  return [](net::NodeId, std::uint16_t) {
-    return std::make_unique<ImmediateForwarding>();
-  };
+  return uniform(DisciplineSpec::immediate());
 }
 
 net::DisciplineFactory unlimited_factory(const DelayDistribution& prototype) {
-  // One clone shared by every node — the distribution is immutable and
-  // sample() is const, so per-node clones bought nothing but heap churn.
-  return [proto = std::shared_ptr<const DelayDistribution>(prototype.clone())](
-             net::NodeId, std::uint16_t)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
-    return std::make_unique<UnlimitedDelaying>(proto);
-  };
+  return uniform(DisciplineSpec::unlimited(prototype.clone()));
 }
 
 net::DisciplineFactory unlimited_exponential_factory(double mean_delay) {
-  return unlimited_factory(ExponentialDelay(mean_delay));
+  return uniform(DisciplineSpec::unlimited_exponential(mean_delay));
 }
 
 net::DisciplineFactory droptail_factory(const DelayDistribution& prototype,
                                         std::size_t capacity) {
-  return [proto = std::shared_ptr<const DelayDistribution>(prototype.clone()),
-          capacity](net::NodeId, std::uint16_t)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
-    return std::make_unique<DropTailDelaying>(proto, capacity);
-  };
+  return uniform(DisciplineSpec::droptail(prototype.clone(), capacity));
 }
 
 net::DisciplineFactory droptail_exponential_factory(double mean_delay,
                                                     std::size_t capacity) {
-  return droptail_factory(ExponentialDelay(mean_delay), capacity);
+  return uniform(DisciplineSpec::droptail_exponential(mean_delay, capacity));
 }
 
 net::DisciplineFactory rcad_factory(const DelayDistribution& prototype,
                                     std::size_t capacity,
                                     VictimPolicy victim_policy) {
-  return [proto = std::shared_ptr<const DelayDistribution>(prototype.clone()),
-          capacity, victim_policy](net::NodeId, std::uint16_t)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
-    return std::make_unique<RcadDiscipline>(proto, capacity, victim_policy);
-  };
+  return uniform(
+      DisciplineSpec::rcad(prototype.clone(), capacity, victim_policy));
 }
 
 net::DisciplineFactory rcad_exponential_factory(double mean_delay,
                                                 std::size_t capacity,
                                                 VictimPolicy victim_policy) {
-  return rcad_factory(ExponentialDelay(mean_delay), capacity, victim_policy);
+  return uniform(
+      DisciplineSpec::rcad_exponential(mean_delay, capacity, victim_policy));
 }
 
 net::DisciplineFactory unlimited_exponential_profile_factory(DelayProfile profile) {
-  return [profile = std::move(profile)](net::NodeId, std::uint16_t hops)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
-    return std::make_unique<UnlimitedDelaying>(
-        std::make_unique<ExponentialDelay>(profile(hops)));
+  return [profile = std::move(profile)](net::NodeId, std::uint16_t hops) {
+    return DisciplineSpec::unlimited_exponential(profile(hops));
   };
 }
 
 net::DisciplineFactory rcad_exponential_profile_factory(
     DelayProfile profile, std::size_t capacity, VictimPolicy victim_policy) {
   return [profile = std::move(profile), capacity, victim_policy](
-             net::NodeId, std::uint16_t hops)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
-    return std::make_unique<RcadDiscipline>(
-        std::make_unique<ExponentialDelay>(profile(hops)), capacity,
-        victim_policy);
+             net::NodeId, std::uint16_t hops) {
+    return DisciplineSpec::rcad_exponential(profile(hops), capacity,
+                                            victim_policy);
   };
 }
 

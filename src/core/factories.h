@@ -5,7 +5,7 @@
 
 #include "core/delay_buffer.h"
 #include "core/delay_distribution.h"
-#include "net/forwarding.h"
+#include "core/discipline_spec.h"
 
 namespace tempriv::core {
 
@@ -13,6 +13,10 @@ namespace tempriv::core {
 /// the §3.3 knob for decomposing the end-to-end delay process across the
 /// path (e.g. more delay far from the sink, where buffers are idler).
 using DelayProfile = std::function<double(std::uint16_t hops_to_sink)>;
+
+// Each factory below describes a built-in policy: it returns a
+// DisciplineSpec for every node, so a network built from it holds no
+// per-node discipline objects.
 
 /// Every node forwards immediately (evaluation case 1).
 net::DisciplineFactory immediate_factory();

@@ -4,8 +4,8 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
-#include "core/disciplines.h"
 #include "telemetry/probes.h"
 
 namespace tempriv::net {
@@ -23,20 +23,15 @@ Network::Network(sim::Simulator& simulator, Topology topology,
       config_(config) {
   validate_config();
   init_node_arrays(root_rng);
-  adopt_factory(factory);
+  adopt(factory);
 }
 
 Network::Network(sim::Simulator& simulator, Topology topology,
                  const core::DisciplineSpec& spec, NetworkConfig config,
                  const sim::RandomStream& root_rng)
-    : simulator_(simulator),
-      topology_(std::move(topology)),
-      routing_(topology_),
-      config_(config) {
-  validate_config();
-  init_node_arrays(root_rng);
-  adopt_spec(spec);
-}
+    : Network(simulator, std::move(topology),
+              [&spec](NodeId, std::uint16_t) { return spec; }, config,
+              root_rng) {}
 
 Network::~Network() = default;
 
@@ -68,110 +63,69 @@ void Network::init_node_arrays(const sim::RandomStream& root_rng) {
   for (NodeId sink : topology_.sinks()) role_[sink] = NodeRole::kSink;
 }
 
-core::DelayBuffer& Network::add_buffer_slot(NodeId id, NodeRole role,
-                                            core::DelayBuffer buffer,
-                                            std::size_t capacity) {
+void Network::add_buffer_slot(NodeId id, NodeRole role,
+                              core::DelayBuffer buffer, std::size_t capacity,
+                              std::size_t nodes_left) {
+  if (buffers_.empty()) {
+    // The first buffering node sizes the slot arrays for itself and every
+    // node after it: exact when all nodes buffer, an upper bound otherwise.
+    buffers_.reserve(nodes_left);
+    capacity_.reserve(nodes_left);
+    drops_.reserve(nodes_left);
+    preemptions_.reserve(nodes_left);
+  }
   role_[id] = role;
   disc_slot_[id] = static_cast<std::uint32_t>(buffers_.size());
   buffers_.push_back(std::move(buffer));
   capacity_.push_back(capacity);
   drops_.push_back(0);
   preemptions_.push_back(0);
-  return buffers_.back();
+  if (capacity != kUnbounded) buffers_.back().reserve(capacity);
 }
 
-void Network::adopt_factory(const DisciplineFactory& factory) {
+void Network::adopt(const DisciplineFactory& factory) {
   const std::size_t n = topology_.node_count();
+  std::size_t nodes_left = 0;  // routable non-sink nodes from `id` on
   for (NodeId id = 0; id < n; ++id) {
-    if (role_[id] == NodeRole::kSink || !routing_.reachable(id)) continue;
-    std::unique_ptr<ForwardingDiscipline> built =
-        factory(id, routing_.hops_to_sink(id));
-    if (!built) {
-      throw std::invalid_argument("Network: factory returned a null discipline");
-    }
-    // Built-ins are unwrapped into the flat arrays: their (still empty)
-    // DelayBuffer moves in, the wrapper object is discarded. kind() is the
-    // contract — only the src/core built-ins return a non-kCustom kind.
-    switch (built->kind()) {
-      case DisciplineKind::kImmediate:
-        role_[id] = NodeRole::kImmediate;
-        break;
-      case DisciplineKind::kUnlimitedDelay:
-        add_buffer_slot(id, NodeRole::kUnlimited,
-                        static_cast<core::UnlimitedDelaying&>(*built).take_buffer(),
-                        kUnbounded);
-        break;
-      case DisciplineKind::kDropTail: {
-        auto& droptail = static_cast<core::DropTailDelaying&>(*built);
-        add_buffer_slot(id, NodeRole::kDropTail, droptail.take_buffer(),
-                        droptail.capacity());
-        break;
-      }
-      case DisciplineKind::kRcad: {
-        auto& rcad = static_cast<core::RcadDiscipline&>(*built);
-        add_buffer_slot(id, NodeRole::kRcad, rcad.take_buffer(),
-                        rcad.capacity());
-        break;
-      }
-      case DisciplineKind::kCustom:
-        role_[id] = NodeRole::kCustom;
-        disc_slot_[id] = static_cast<std::uint32_t>(custom_.size());
-        custom_.push_back(std::move(built));
-        break;
-    }
-  }
-}
-
-void Network::adopt_spec(const core::DisciplineSpec& spec) {
-  if (spec.kind == DisciplineKind::kCustom) {
-    throw std::invalid_argument(
-        "Network: a DisciplineSpec cannot be kCustom — use a factory");
-  }
-  const bool buffered = spec.kind != DisciplineKind::kImmediate;
-  if (buffered && !spec.delay) {
-    throw std::invalid_argument(
-        "Network: DisciplineSpec needs a delay distribution");
-  }
-  if ((spec.kind == DisciplineKind::kDropTail ||
-       spec.kind == DisciplineKind::kRcad) &&
-      spec.capacity == 0) {
-    throw std::invalid_argument("Network: DisciplineSpec capacity must be >= 1");
-  }
-  const std::size_t n = topology_.node_count();
-  if (buffered) {
-    std::size_t forwarding = 0;
-    for (NodeId id = 0; id < n; ++id) {
-      if (role_[id] != NodeRole::kSink && routing_.reachable(id)) ++forwarding;
-    }
-    buffers_.reserve(forwarding);
-    capacity_.reserve(forwarding);
-    drops_.reserve(forwarding);
-    preemptions_.reserve(forwarding);
+    if (role_[id] != NodeRole::kSink && routing_.reachable(id)) ++nodes_left;
   }
   for (NodeId id = 0; id < n; ++id) {
     if (role_[id] == NodeRole::kSink || !routing_.reachable(id)) continue;
-    switch (spec.kind) {
-      case DisciplineKind::kImmediate:
-        role_[id] = NodeRole::kImmediate;
-        break;
-      case DisciplineKind::kUnlimitedDelay:
-        add_buffer_slot(id, NodeRole::kUnlimited,
-                        core::DelayBuffer(spec.delay), kUnbounded);
-        break;
-      case DisciplineKind::kDropTail:
-        add_buffer_slot(id, NodeRole::kDropTail,
-                        core::DelayBuffer(spec.delay), spec.capacity)
-            .reserve(spec.capacity);
-        break;
-      case DisciplineKind::kRcad:
-        add_buffer_slot(id, NodeRole::kRcad,
-                        core::DelayBuffer(spec.delay, spec.victim),
-                        spec.capacity)
-            .reserve(spec.capacity);
-        break;
-      case DisciplineKind::kCustom:
-        break;  // rejected above
+    DisciplineChoice built = factory(id, routing_.hops_to_sink(id));
+    auto* custom = std::get_if<std::unique_ptr<ForwardingDiscipline>>(&built);
+    if (custom != nullptr) {
+      if (!*custom) {
+        throw std::invalid_argument(
+            "Network: factory returned a null discipline");
+      }
+      role_[id] = NodeRole::kCustom;
+      disc_slot_[id] = static_cast<std::uint32_t>(custom_.size());
+      custom_.push_back(std::move(*custom));
+    } else {
+      core::DisciplineSpec& spec = std::get<core::DisciplineSpec>(built);
+      spec.validate();
+      switch (spec.kind) {
+        case core::DisciplineKind::kImmediate:
+          role_[id] = NodeRole::kImmediate;
+          break;
+        case core::DisciplineKind::kUnlimitedDelay:
+          add_buffer_slot(id, NodeRole::kUnlimited,
+                          core::DelayBuffer(std::move(spec.delay)), kUnbounded,
+                          nodes_left);
+          break;
+        case core::DisciplineKind::kDropTail:
+          add_buffer_slot(id, NodeRole::kDropTail,
+                          core::DelayBuffer(std::move(spec.delay)),
+                          spec.capacity, nodes_left);
+          break;
+        case core::DisciplineKind::kRcad:
+          add_buffer_slot(id, NodeRole::kRcad,
+                          core::DelayBuffer(std::move(spec.delay), spec.victim),
+                          spec.capacity, nodes_left);
+          break;
+      }
     }
+    --nodes_left;
   }
 }
 

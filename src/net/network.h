@@ -80,29 +80,27 @@ using HopSelector = sim::InlineFunction<NodeId(NodeId current,
 /// Node state is structure-of-arrays indexed by dense NodeId: per-node role,
 /// RNG stream, routing sequence counter and discipline slot live in parallel
 /// flat vectors, and the built-in disciplines (immediate / unlimited /
-/// drop-tail / RCAD, recognized via ForwardingDiscipline::kind()) are
-/// dispatched by a switch on the role byte — no per-node heap objects and no
-/// virtual call on the forwarding hot path. Factory-produced custom
-/// disciplines keep their objects and virtual dispatch. The per-packet path
+/// drop-tail / RCAD, described by core::DisciplineSpec values) are
+/// implemented here, dispatched by a switch on the role byte — no per-node
+/// heap objects and no virtual call on the forwarding hot path. Custom
+/// ForwardingDiscipline objects keep virtual dispatch. The per-packet path
 /// is allocation-free in steady state: packets are flat PODs, link
 /// traversals park them in a free-listed PacketPool and schedule a 16-byte
 /// {network, handle} closure (inline in the event kernel), and buffering
 /// holds them in per-node DelayBuffer slot pools stored contiguously here.
 class Network {
  public:
-  /// Throws std::invalid_argument if the topology is missing a sink or if
-  /// `config.hop_tx_delay` is not positive. The factory runs once per
-  /// routable non-sink node in ascending id order; built-in disciplines it
-  /// returns are unwrapped into the flat arrays (their DelayBuffer moves in,
-  /// the wrapper object is discarded), custom ones are kept as objects.
+  /// Throws std::invalid_argument if the topology is missing a sink, if
+  /// `config.hop_tx_delay` is not positive, or if the factory returns a null
+  /// object or a spec that fails DisciplineSpec::validate(). The factory runs
+  /// once per routable non-sink node in ascending id order; a spec it
+  /// returns becomes flat-array state, a custom object is kept.
   Network(sim::Simulator& simulator, Topology topology,
           const DisciplineFactory& factory, NetworkConfig config,
           const sim::RandomStream& root_rng);
 
-  /// Uniform built-in policy without any per-node factory objects: every
-  /// routable non-sink node gets `spec`'s discipline with one shared delay
-  /// distribution. This is the construction path for very large networks —
-  /// per-node cost is flat-array slots only.
+  /// Every routable non-sink node runs `spec` (sharing its one delay
+  /// distribution): the factory constructor with a factory returning `spec`.
   Network(sim::Simulator& simulator, Topology topology,
           const core::DisciplineSpec& spec, NetworkConfig config,
           const sim::RandomStream& root_rng);
@@ -178,7 +176,8 @@ class Network {
 
  private:
   /// What a packet arriving at the node meets — the switch key of the
-  /// virtual-free hot path. Values mirror DisciplineKind for the built-ins.
+  /// virtual-free hot path. One value per core::DisciplineKind, plus the
+  /// node roles that have no spec.
   enum class NodeRole : std::uint8_t {
     kSink,        ///< delivery point; packets surface to the observers
     kUnroutable,  ///< no path to any sink; arrivals are a logic error
@@ -215,12 +214,13 @@ class Network {
   void validate_config() const;
   /// Sizes every per-node array (roles, RNG streams, contexts, counters).
   void init_node_arrays(const sim::RandomStream& root_rng);
-  void adopt_factory(const DisciplineFactory& factory);
-  void adopt_spec(const core::DisciplineSpec& spec);
-  /// Registers a buffer slot for `id` and returns the new DelayBuffer.
-  core::DelayBuffer& add_buffer_slot(NodeId id, NodeRole role,
-                                     core::DelayBuffer buffer,
-                                     std::size_t capacity);
+  /// Runs the factory for every routable non-sink node and lays out what it
+  /// returns: specs into the flat arrays, objects into custom_.
+  void adopt(const DisciplineFactory& factory);
+  /// Registers a buffer slot for `id`, pre-sized to a bounded `capacity`;
+  /// `nodes_left` counts the nodes still to adopt, `id` included.
+  void add_buffer_slot(NodeId id, NodeRole role, core::DelayBuffer buffer,
+                       std::size_t capacity, std::size_t nodes_left);
 
   /// A packet is at `node` now: run the node's discipline (switch on the
   /// role byte; the built-ins run inline with no virtual call), then fire
@@ -264,7 +264,7 @@ class Network {
   std::vector<std::uint64_t> drops_;
   std::vector<std::uint64_t> preemptions_;
 
-  // Custom (kind() == kCustom) disciplines keep their objects.
+  // Custom disciplines (factory-returned objects) keep their objects.
   std::vector<std::unique_ptr<ForwardingDiscipline>> custom_;
 
   std::vector<SinkObserver*> observers_;

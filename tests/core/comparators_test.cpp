@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <variant>
 
 #include "core/delay_distribution.h"
 #include "metrics/stats.h"
@@ -161,9 +162,10 @@ TEST(TimedPoolMix, ValidatesInterval) {
 }
 
 TEST(ComparatorFactories, ProduceWorkingDisciplines) {
-  auto fifo = fifo_exponential_factory(10.0)(0, 1);
+  using Object = std::unique_ptr<net::ForwardingDiscipline>;
+  auto fifo = std::get<Object>(fifo_exponential_factory(10.0)(0, 1));
   EXPECT_NE(dynamic_cast<FifoDelaying*>(fifo.get()), nullptr);
-  auto mix = timed_pool_mix_factory(5.0, 3)(0, 1);
+  auto mix = std::get<Object>(timed_pool_mix_factory(5.0, 3)(0, 1));
   EXPECT_NE(dynamic_cast<TimedPoolMix*>(mix.get()), nullptr);
 }
 

@@ -1,129 +1,132 @@
-#include "core/disciplines.h"
+// The built-in disciplines (core::DisciplineSpec), driven through the
+// Network forwarding path every simulation runs.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
+#include "core/discipline_spec.h"
 #include "core/factories.h"
-#include "test_context.h"
+#include "relay_network.h"
 
 namespace tempriv::core {
 namespace {
 
-using testing::TestContext;
+using testing::RelayNetwork;
+
+/// A factory returning `spec` as is — unlike the DisciplineSpec helpers, it
+/// can hand Network a spec that was never validated.
+net::DisciplineFactory raw(DisciplineSpec spec) {
+  return [spec = std::move(spec)](net::NodeId, std::uint16_t) { return spec; };
+}
 
 TEST(ImmediateForwarding, TransmitsInstantly) {
-  TestContext ctx;
-  ImmediateForwarding discipline;
-  discipline.on_packet(ctx.make_packet(1), ctx);
-  ASSERT_EQ(ctx.transmitted().size(), 1u);
-  EXPECT_DOUBLE_EQ(ctx.transmitted()[0].first, 0.0);
-  EXPECT_EQ(discipline.buffered(), 0u);
-  EXPECT_EQ(discipline.preemptions(), 0u);
-  EXPECT_EQ(discipline.drops(), 0u);
+  RelayNetwork relay(DisciplineSpec::immediate());
+  relay.inject();
+  EXPECT_EQ(relay.buffered(), 0u);
+  relay.simulator().run();
+  ASSERT_EQ(relay.departures().size(), 1u);
+  EXPECT_DOUBLE_EQ(relay.departures()[0].time, 0.0);
+  EXPECT_EQ(relay.preemptions(), 0u);
+  EXPECT_EQ(relay.drops(), 0u);
 }
 
 TEST(UnlimitedDelaying, HoldsEveryPacketUntilItsDelayExpires) {
-  TestContext ctx;
-  UnlimitedDelaying discipline(std::make_unique<ConstantDelay>(3.0));
-  for (std::uint64_t uid = 0; uid < 100; ++uid) {
-    discipline.on_packet(ctx.make_packet(uid), ctx);
+  RelayNetwork relay(
+      DisciplineSpec::unlimited(std::make_shared<ConstantDelay>(3.0)));
+  for (int i = 0; i < 100; ++i) relay.inject();
+  EXPECT_EQ(relay.buffered(), 100u);  // no capacity limit
+  relay.simulator().run();
+  EXPECT_EQ(relay.departures().size(), 100u);
+  EXPECT_EQ(relay.buffered(), 0u);
+  for (const auto& departure : relay.departures()) {
+    EXPECT_DOUBLE_EQ(departure.time, 3.0);
   }
-  EXPECT_EQ(discipline.buffered(), 100u);  // no capacity limit
-  ctx.simulator().run();
-  EXPECT_EQ(ctx.transmitted().size(), 100u);
-  EXPECT_EQ(discipline.buffered(), 0u);
-  for (const auto& [at, packet] : ctx.transmitted()) EXPECT_DOUBLE_EQ(at, 3.0);
 }
 
 TEST(DropTailDelaying, DropsWhenFull) {
-  TestContext ctx;
-  DropTailDelaying discipline(std::make_unique<ConstantDelay>(100.0), 10);
-  for (std::uint64_t uid = 0; uid < 15; ++uid) {
-    discipline.on_packet(ctx.make_packet(uid), ctx);
-  }
-  EXPECT_EQ(discipline.buffered(), 10u);
-  EXPECT_EQ(discipline.drops(), 5u);
-  EXPECT_EQ(discipline.preemptions(), 0u);
-  ctx.simulator().run();
+  RelayNetwork relay(
+      DisciplineSpec::droptail(std::make_shared<ConstantDelay>(100.0), 10));
+  for (int i = 0; i < 15; ++i) relay.inject();
+  EXPECT_EQ(relay.buffered(), 10u);
+  EXPECT_EQ(relay.drops(), 5u);
+  EXPECT_EQ(relay.preemptions(), 0u);
+  relay.simulator().run();
   // Only the 10 admitted packets are ever transmitted.
-  EXPECT_EQ(ctx.transmitted().size(), 10u);
+  EXPECT_EQ(relay.departures().size(), 10u);
 }
 
 TEST(DropTailDelaying, ValidatesCapacity) {
-  EXPECT_THROW(DropTailDelaying(std::make_unique<NoDelay>(), 0),
-               std::invalid_argument);
+  const auto no_delay = std::make_shared<NoDelay>();
+  EXPECT_THROW(DisciplineSpec::droptail(no_delay, 0), std::invalid_argument);
+  EXPECT_THROW(
+      RelayNetwork(raw({DisciplineKind::kDropTail, no_delay, 0,
+                        VictimPolicy::kShortestRemaining})),
+      std::invalid_argument);
 }
 
 TEST(RcadDiscipline, PreemptsInsteadOfDropping) {
-  TestContext ctx;
-  RcadDiscipline discipline(std::make_unique<ConstantDelay>(100.0), 10);
-  for (std::uint64_t uid = 0; uid < 15; ++uid) {
-    discipline.on_packet(ctx.make_packet(uid), ctx);
+  RelayNetwork relay(
+      DisciplineSpec::rcad(std::make_shared<ConstantDelay>(100.0), 10));
+  for (int i = 0; i < 15; ++i) relay.inject();
+  EXPECT_EQ(relay.buffered(), 10u);  // never exceeds capacity
+  EXPECT_EQ(relay.preemptions(), 5u);
+  EXPECT_EQ(relay.drops(), 0u);
+  // The 5 victims were transmitted immediately: on the link, not held.
+  EXPECT_EQ(relay.network().packets_in_flight(), 5u);
+  relay.simulator().run();
+  // Every packet is eventually transmitted exactly once: 15 total, the
+  // victims first (at t = 0).
+  ASSERT_EQ(relay.departures().size(), 15u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_DOUBLE_EQ(relay.departures()[i].time, 0.0);
   }
-  EXPECT_EQ(discipline.buffered(), 10u);  // never exceeds capacity
-  EXPECT_EQ(discipline.preemptions(), 5u);
-  EXPECT_EQ(discipline.drops(), 0u);
-  // 5 victims were transmitted immediately (at t = 0).
-  ASSERT_EQ(ctx.transmitted().size(), 5u);
-  for (const auto& [at, packet] : ctx.transmitted()) EXPECT_DOUBLE_EQ(at, 0.0);
-  ctx.simulator().run();
-  // Every packet is eventually transmitted exactly once: 15 total.
-  EXPECT_EQ(ctx.transmitted().size(), 15u);
+  EXPECT_DOUBLE_EQ(relay.departures()[5].time, 100.0);
 }
 
 TEST(RcadDiscipline, VictimIsShortestRemainingDelay) {
-  TestContext ctx;
-  // Distinct deterministic delays so the victim is predictable: the packet
-  // admitted first has the earliest release and must be preempted.
-  RcadDiscipline discipline(std::make_unique<ExponentialDelay>(50.0), 3);
-  discipline.on_packet(ctx.make_packet(0), ctx);
-  discipline.on_packet(ctx.make_packet(1), ctx);
-  discipline.on_packet(ctx.make_packet(2), ctx);
-  // Find which buffered packet has the shortest remaining delay.
-  std::uint64_t expected_victim = 0;
-  double best = 1e300;
-  // (Reconstruct from the discipline's own counters via a second context is
-  // overkill: RCAD guarantees the preempted packet is transmitted first.)
-  (void)best;
-  discipline.on_packet(ctx.make_packet(3), ctx);
-  ASSERT_EQ(ctx.transmitted().size(), 1u);
-  expected_victim = ctx.transmitted()[0].second.uid;
-  // The victim must be one of the originally-buffered packets, and the
-  // remaining buffer still holds 3 (capacity).
-  EXPECT_LT(expected_victim, 3u);
-  EXPECT_EQ(discipline.buffered(), 3u);
-  EXPECT_EQ(discipline.preemptions(), 1u);
+  // Exponential delays make the shortest-remaining packet depend on the
+  // draws, so find it from a same-seed run without the fourth packet: the
+  // first of packets 0-2 to leave on its own is the one RCAD must preempt.
+  const DisciplineSpec spec = DisciplineSpec::rcad_exponential(50.0, 3);
+  RelayNetwork undisturbed(spec, 7);
+  for (int i = 0; i < 3; ++i) undisturbed.inject();
+  undisturbed.simulator().run();
+  ASSERT_EQ(undisturbed.departures().size(), 3u);
+  const std::uint64_t shortest = undisturbed.departures()[0].uid;
+
+  RelayNetwork relay(spec, 7);
+  for (int i = 0; i < 4; ++i) relay.inject();
+  EXPECT_EQ(relay.buffered(), 3u);
+  EXPECT_EQ(relay.preemptions(), 1u);
+  relay.simulator().run();
+  ASSERT_EQ(relay.departures().size(), 4u);
+  EXPECT_DOUBLE_EQ(relay.departures()[0].time, 0.0);
+  EXPECT_EQ(relay.departures()[0].uid, shortest);
 }
 
 TEST(RcadDiscipline, NoPreemptionBelowCapacity) {
-  TestContext ctx;
-  RcadDiscipline discipline(std::make_unique<ExponentialDelay>(5.0), 10);
-  for (std::uint64_t uid = 0; uid < 10; ++uid) {
-    discipline.on_packet(ctx.make_packet(uid), ctx);
-  }
-  EXPECT_EQ(discipline.preemptions(), 0u);
+  RelayNetwork relay(DisciplineSpec::rcad_exponential(5.0, 10));
+  for (int i = 0; i < 10; ++i) relay.inject();
+  EXPECT_EQ(relay.preemptions(), 0u);
 }
 
 TEST(RcadDiscipline, EffectiveDelayShrinksUnderLoad) {
   // The adaptive-µ property: at overload the realized mean delay collapses
   // from 1/µ toward k/λ (here: 10 slots, deterministic 1-unit arrivals).
-  TestContext ctx;
-  RcadDiscipline discipline(std::make_unique<ExponentialDelay>(100.0), 10);
+  RelayNetwork relay(DisciplineSpec::rcad_exponential(100.0, 10));
   constexpr int kPackets = 300;
-  for (int i = 0; i < kPackets; ++i) {
-    ctx.simulator().schedule_at(static_cast<double>(i), [&discipline, &ctx, i] {
-      discipline.on_packet(ctx.make_packet(static_cast<std::uint64_t>(i)), ctx);
-    });
-  }
-  ctx.simulator().run();
-  EXPECT_EQ(ctx.transmitted().size(), static_cast<std::size_t>(kPackets));
-  EXPECT_GT(discipline.preemptions(), 200u);  // heavy preemption
+  for (int i = 0; i < kPackets; ++i) relay.inject_at(static_cast<double>(i));
+  relay.simulator().run();
+  EXPECT_EQ(relay.departures().size(), static_cast<std::size_t>(kPackets));
+  EXPECT_GT(relay.preemptions(), 200u);  // heavy preemption
   // Mean realized holding time ~ k/λ = 10, far below the configured 100.
+  // Packet uid i was injected at t = i.
   double total_delay = 0.0;
-  for (const auto& [at, packet] : ctx.transmitted()) {
-    total_delay += at - static_cast<double>(packet.uid);
+  for (const auto& departure : relay.departures()) {
+    total_delay += departure.time - static_cast<double>(departure.uid);
   }
   const double mean_delay = total_delay / kPackets;
   EXPECT_LT(mean_delay, 25.0);
@@ -131,52 +134,66 @@ TEST(RcadDiscipline, EffectiveDelayShrinksUnderLoad) {
 }
 
 TEST(RcadDiscipline, ValidatesCapacity) {
-  EXPECT_THROW(RcadDiscipline(std::make_unique<NoDelay>(), 0),
+  const auto no_delay = std::make_shared<NoDelay>();
+  EXPECT_THROW(DisciplineSpec::rcad(no_delay, 0), std::invalid_argument);
+  EXPECT_THROW(RelayNetwork(raw({DisciplineKind::kRcad, no_delay, 0,
+                                 VictimPolicy::kShortestRemaining})),
                std::invalid_argument);
 }
 
 TEST(Factories, ProduceExpectedDisciplineTypes) {
-  auto immediate = immediate_factory()(0, 1);
-  EXPECT_NE(dynamic_cast<ImmediateForwarding*>(immediate.get()), nullptr);
+  const auto spec_of = [](const net::DisciplineFactory& factory) {
+    return std::get<DisciplineSpec>(factory(0, 1));
+  };
+  EXPECT_EQ(spec_of(immediate_factory()).kind, DisciplineKind::kImmediate);
 
-  auto unlimited = unlimited_exponential_factory(30.0)(0, 1);
-  EXPECT_NE(dynamic_cast<UnlimitedDelaying*>(unlimited.get()), nullptr);
+  const DisciplineSpec unlimited = spec_of(unlimited_exponential_factory(30.0));
+  EXPECT_EQ(unlimited.kind, DisciplineKind::kUnlimitedDelay);
+  EXPECT_DOUBLE_EQ(unlimited.delay->mean(), 30.0);
 
-  auto droptail = droptail_exponential_factory(30.0, 10)(0, 1);
-  auto* dt = dynamic_cast<DropTailDelaying*>(droptail.get());
-  ASSERT_NE(dt, nullptr);
-  EXPECT_EQ(dt->capacity(), 10u);
+  const DisciplineSpec droptail =
+      spec_of(droptail_exponential_factory(30.0, 10));
+  EXPECT_EQ(droptail.kind, DisciplineKind::kDropTail);
+  EXPECT_EQ(droptail.capacity, 10u);
 
-  auto rcad = rcad_exponential_factory(30.0, 10, VictimPolicy::kRandom)(0, 1);
-  auto* rc = dynamic_cast<RcadDiscipline*>(rcad.get());
-  ASSERT_NE(rc, nullptr);
-  EXPECT_EQ(rc->capacity(), 10u);
-  EXPECT_EQ(rc->victim_policy(), VictimPolicy::kRandom);
+  const DisciplineSpec rcad =
+      spec_of(rcad_exponential_factory(30.0, 10, VictimPolicy::kRandom));
+  EXPECT_EQ(rcad.kind, DisciplineKind::kRcad);
+  EXPECT_EQ(rcad.capacity, 10u);
+  EXPECT_EQ(rcad.victim, VictimPolicy::kRandom);
 }
 
 TEST(Factories, FactoriesAreReusableAcrossNodes) {
   const auto factory = rcad_exponential_factory(30.0, 10);
-  auto a = factory(0, 1);
-  auto b = factory(1, 2);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(a->buffered(), 0u);
-  EXPECT_EQ(b->buffered(), 0u);
+  const auto a = std::get<DisciplineSpec>(factory(0, 1));
+  const auto b = std::get<DisciplineSpec>(factory(1, 2));
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.capacity, b.capacity);
+  EXPECT_EQ(a.delay, b.delay);  // one distribution shared network-wide
+
+  // Two forwarding nodes built from the same factory buffer independently.
+  sim::Simulator simulator;
+  net::Network network(simulator, net::Topology::line(3), factory, {},
+                       sim::RandomStream(1));
+  network.originate(1, crypto::SealedPayload{});
+  EXPECT_EQ(network.node_buffered(0), 0u);
+  EXPECT_EQ(network.node_buffered(1), 1u);
 }
 
 TEST(Factories, ProfileFactoryScalesMeanWithHops) {
-  TestContext ctx;
-  // Profile: mean = 10 * hops. Node 5 hops out -> mean 50.
-  const auto factory = unlimited_exponential_profile_factory(
+  // Profile: mean = 10 * hops. The relay is told it sits 5 hops out, so it
+  // must delay by Exp(50).
+  const auto profile = unlimited_exponential_profile_factory(
       [](std::uint16_t hops) { return 10.0 * hops; });
-  auto node_far = factory(0, 5);
-  // Sample many delays through the discipline and check the realized mean.
-  double total = 0.0;
+  RelayNetwork relay([&profile](net::NodeId id, std::uint16_t) {
+    return profile(id, 5);
+  });
   constexpr int kPackets = 2000;
-  for (int i = 0; i < kPackets; ++i) {
-    node_far->on_packet(ctx.make_packet(static_cast<std::uint64_t>(i)), ctx);
-  }
-  ctx.simulator().run();
-  for (const auto& [at, packet] : ctx.transmitted()) total += at;
+  for (int i = 0; i < kPackets; ++i) relay.inject();
+  relay.simulator().run();
+  ASSERT_EQ(relay.departures().size(), static_cast<std::size_t>(kPackets));
+  double total = 0.0;
+  for (const auto& departure : relay.departures()) total += departure.time;
   EXPECT_NEAR(total / kPackets, 50.0, 3.0);
 }
 

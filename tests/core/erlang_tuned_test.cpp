@@ -2,16 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <variant>
 
-#include "core/disciplines.h"
+#include "core/discipline_spec.h"
 #include "metrics/stats.h"
 #include "queueing/erlang.h"
+#include "relay_network.h"
 #include "test_context.h"
 
 namespace tempriv::core {
 namespace {
 
+using testing::RelayNetwork;
 using testing::TestContext;
 
 ErlangTunedRcad::Config default_config() {
@@ -80,18 +84,15 @@ TEST(ErlangTunedRcad, PreemptionRateIsFlatAcrossLoads) {
 
   // Contrast: static RCAD dimensioned for λ = 0.25 (mean 30), offered
   // λ = 5 — nearly every arrival preempts.
-  TestContext ctx(77);
-  RcadDiscipline static_node(std::make_unique<ExponentialDelay>(30.0), 10);
+  RelayNetwork static_node(DisciplineSpec::rcad_exponential(30.0, 10), 77);
   sim::RandomStream traffic(5);
   double at = 0.0;
   for (int i = 0; i < 6000; ++i) {
     at += traffic.exponential_rate(5.0);
-    ctx.simulator().schedule_at(at, [&static_node, &ctx, i] {
-      static_node.on_packet(ctx.make_packet(static_cast<std::uint64_t>(i)),
-                            ctx);
-    });
+    static_node.inject_at(at);
   }
-  ctx.simulator().run();
+  static_node.simulator().run();
+  EXPECT_EQ(static_node.departures().size(), 6000u);
   EXPECT_GT(static_cast<double>(static_node.preemptions()) / 6000.0, 0.6);
 }
 
@@ -143,8 +144,9 @@ TEST(ErlangTunedRcad, ValidatesConfig) {
 
 TEST(ErlangTunedRcad, FactoryProducesIndependentNodes) {
   const auto factory = erlang_tuned_rcad_factory(default_config());
-  auto a = factory(0, 5);
-  auto b = factory(1, 3);
+  using Object = std::unique_ptr<net::ForwardingDiscipline>;
+  auto a = std::get<Object>(factory(0, 5));
+  auto b = std::get<Object>(factory(1, 3));
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(a->buffered(), 0u);
 }

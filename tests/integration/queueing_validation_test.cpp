@@ -5,10 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 
-#include "core/disciplines.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/histogram.h"
 #include "metrics/stats.h"
@@ -27,12 +26,9 @@ crypto::PayloadCodec& codec() {
 }
 
 // Source node 0 forwards immediately; node 1 is the queue under test.
-net::DisciplineFactory single_queue_factory(
-    std::function<std::unique_ptr<net::ForwardingDiscipline>()> make_queue) {
-  return [make_queue = std::move(make_queue)](net::NodeId id, std::uint16_t)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
-    if (id == 1) return make_queue();
-    return std::make_unique<core::ImmediateForwarding>();
+net::DisciplineFactory single_queue_factory(core::DisciplineSpec queue) {
+  return [queue = std::move(queue)](net::NodeId id, std::uint16_t) {
+    return id == 1 ? queue : core::DisciplineSpec::immediate();
   };
 }
 
@@ -45,10 +41,8 @@ TEST(QueueingValidation, MmInfOccupancyIsPoissonWithMeanRho) {
   sim::Simulator sim;
   net::Network network(
       sim, net::Topology::line(3),
-      single_queue_factory([=] {
-        return std::make_unique<core::UnlimitedDelaying>(
-            std::make_unique<core::ExponentialDelay>(kMeanDelay));
-      }),
+      single_queue_factory(
+          core::DisciplineSpec::unlimited_exponential(kMeanDelay)),
       {}, sim::RandomStream(31));
 
   metrics::TimeWeightedOccupancy occupancy;
@@ -82,10 +76,8 @@ TEST(QueueingValidation, DropTailLossMatchesErlangFormula) {
   sim::Simulator sim;
   net::Network network(
       sim, net::Topology::line(3),
-      single_queue_factory([=] {
-        return std::make_unique<core::DropTailDelaying>(
-            std::make_unique<core::ExponentialDelay>(kMeanDelay), kSlots);
-      }),
+      single_queue_factory(
+          core::DisciplineSpec::droptail_exponential(kMeanDelay, kSlots)),
       {}, sim::RandomStream(33));
 
   workload::PoissonSource source(network, codec(), 0, sim::RandomStream(34),
@@ -115,10 +107,8 @@ TEST(QueueingValidation, RcadPreemptionRateExceedsErlangLoss) {
   sim::Simulator sim;
   net::Network network(
       sim, net::Topology::line(3),
-      single_queue_factory([=] {
-        return std::make_unique<core::RcadDiscipline>(
-            std::make_unique<core::ExponentialDelay>(kMeanDelay), kSlots);
-      }),
+      single_queue_factory(
+          core::DisciplineSpec::rcad_exponential(kMeanDelay, kSlots)),
       {}, sim::RandomStream(35));
 
   workload::PoissonSource source(network, codec(), 0, sim::RandomStream(36),
@@ -145,10 +135,7 @@ TEST(QueueingValidation, BurkeTheoremPoissonInPoissonOut) {
   sim::Simulator sim;
   net::Network network(
       sim, net::Topology::line(3),
-      single_queue_factory([=] {
-        return std::make_unique<core::UnlimitedDelaying>(
-            std::make_unique<core::ExponentialDelay>(25.0));
-      }),
+      single_queue_factory(core::DisciplineSpec::unlimited_exponential(25.0)),
       {}, sim::RandomStream(37));
 
   struct ArrivalRecorder final : net::SinkObserver {
@@ -183,16 +170,10 @@ TEST(QueueingValidation, TandemQueuesEachHoldRho) {
   sim::Simulator sim;
   net::Network network(
       sim, net::Topology::line(4),
-      [&](net::NodeId id, std::uint16_t) -> std::unique_ptr<net::ForwardingDiscipline> {
-        if (id == 1) {
-          return std::make_unique<core::UnlimitedDelaying>(
-              std::make_unique<core::ExponentialDelay>(kMean1));
-        }
-        if (id == 2) {
-          return std::make_unique<core::UnlimitedDelaying>(
-              std::make_unique<core::ExponentialDelay>(kMean2));
-        }
-        return std::make_unique<core::ImmediateForwarding>();
+      [&](net::NodeId id, std::uint16_t) {
+        if (id == 1) return core::DisciplineSpec::unlimited_exponential(kMean1);
+        if (id == 2) return core::DisciplineSpec::unlimited_exponential(kMean2);
+        return core::DisciplineSpec::immediate();
       },
       {}, sim::RandomStream(39));
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/comparators.h"
 #include "core/factories.h"
 #include "crypto/payload.h"
 
@@ -235,6 +237,82 @@ TEST(Network, SpecConstructorMatchesFactoryNetwork) {
     return out;
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+TEST(Network, RejectsInvalidFactoryDisciplines) {
+  // A factory may aggregate-initialise a spec the DisciplineSpec helpers
+  // would have refused; Network validates every spec it adopts.
+  const auto adopt = [](const core::DisciplineSpec& spec) {
+    sim::Simulator sim;
+    Network net(sim, Topology::line(3),
+                [&spec](NodeId, std::uint16_t) { return spec; }, {},
+                sim::RandomStream(1));
+  };
+  const auto delay = std::make_shared<core::ExponentialDelay>(4.0);
+  EXPECT_THROW(adopt({core::DisciplineKind::kRcad, delay, 0,
+                      core::VictimPolicy::kShortestRemaining}),
+               std::invalid_argument);
+  EXPECT_THROW(adopt({core::DisciplineKind::kUnlimitedDelay, nullptr, 0,
+                      core::VictimPolicy::kShortestRemaining}),
+               std::invalid_argument);
+
+  sim::Simulator sim;
+  EXPECT_THROW(Network(sim, Topology::line(3),
+                       [](NodeId, std::uint16_t) -> DisciplineChoice {
+                         return std::unique_ptr<ForwardingDiscipline>();
+                       },
+                       {}, sim::RandomStream(1)),
+               std::invalid_argument);
+}
+
+TEST(Network, MixedSpecAndCustomNodesShareOneNetwork) {
+  // RCAD specs on even nodes, custom TimedPoolMix objects on odd ones: both
+  // adopt branches in one network, and the network-wide counters must be
+  // the sums of the per-node accessors.
+  sim::Simulator sim;
+  const Topology topo = Topology::line(6);  // nodes 0-4 forward, 5 is the sink
+  Network net(
+      sim, topo,
+      [](NodeId id, std::uint16_t) -> DisciplineChoice {
+        if (id % 2 == 0) return core::DisciplineSpec::rcad_exponential(4.0, 2);
+        return std::make_unique<core::TimedPoolMix>(5.0, 1);
+      },
+      {}, sim::RandomStream(3));
+  RecordingObserver observer;
+  net.add_sink_observer(&observer);
+  for (std::uint32_t i = 0; i < 30; ++i) {
+    net.originate(0, sealed_at(0.0, 0, i));
+    net.originate(3, sealed_at(0.0, 3, i));
+  }
+  const auto expect_totals_are_sums = [&net] {
+    std::size_t buffered = 0;
+    std::uint64_t preemptions = 0;
+    std::uint64_t drops = 0;
+    for (NodeId id = 0; id < 5; ++id) {
+      buffered += net.node_buffered(id);
+      preemptions += net.node_preemptions(id);
+      drops += net.node_drops(id);
+    }
+    EXPECT_EQ(net.total_buffered(), buffered);
+    EXPECT_EQ(net.total_preemptions(), preemptions);
+    EXPECT_EQ(net.total_drops(), drops);
+  };
+  EXPECT_EQ(net.node_buffered(0), 2u);   // RCAD: full, preempting
+  EXPECT_EQ(net.node_buffered(3), 30u);  // the mix pools until its tick
+  EXPECT_EQ(net.node_preemptions(0), 28u);
+  expect_totals_are_sums();
+  sim.run_until(7.0);
+  expect_totals_are_sums();
+  sim.run();
+  expect_totals_are_sums();
+  // Conservation: every packet is delivered or still pooled by a mix
+  // (a mix keeps pool_keep packets its timer never releases).
+  EXPECT_EQ(net.packets_in_flight(), 0u);
+  EXPECT_EQ(net.packets_delivered() + net.total_buffered(),
+            net.packets_originated());
+  EXPECT_EQ(observer.deliveries.size(), net.packets_delivered());
+  EXPECT_GT(net.packets_delivered(), 0u);
+  EXPECT_GT(net.total_preemptions(), 0u);
 }
 
 TEST(Network, MultiSinkDeliversToNearestSink) {

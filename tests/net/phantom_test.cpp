@@ -154,7 +154,7 @@ TEST(HopSelector, NonNeighborSelectionThrows) {
   network.set_hop_selector(
       [](NodeId, const Packet&, sim::RandomStream&) -> NodeId { return 3; });
   // Node 0's only neighbor is 1; selecting the sink (3) directly is
-  // illegal. ImmediateForwarding transmits synchronously, so the violation
+  // illegal. Immediate forwarding transmits synchronously, so the violation
   // surfaces right at injection.
   EXPECT_THROW(network.originate(0, codec().seal({0, 0, 0.0}, 0)),
                std::logic_error);

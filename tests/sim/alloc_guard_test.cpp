@@ -315,6 +315,16 @@ TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {
   EXPECT_LT(net_allocs, 3 * kNodes)
       << "network construction regressed to per-node object allocation";
   EXPECT_GT(network.memory_bytes(), kNodes * sizeof(std::uint32_t));
+
+  // A factory of built-in specs lays out the same flat arrays: no
+  // discipline object is built per node.
+  const std::size_t before_factory = allocations();
+  const net::Network from_factory(simulator, topo,
+                                  core::rcad_exponential_factory(30.0, 10),
+                                  {}, RandomStream(42));
+  const std::size_t factory_allocs = allocations() - before_factory;
+  EXPECT_LT(factory_allocs, 3 * kNodes)
+      << "factory construction allocates a discipline object per node";
 }
 
 TEST(AllocGuard, WarmDelayBufferChurnAllocatesNothing) {

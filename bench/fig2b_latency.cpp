@@ -5,32 +5,19 @@
 // is flat near h(τ + 1/µ) = 465; RCAD sits between the two and drops
 // furthest below the unlimited case at high traffic (at 1/λ = 2 the paper
 // reports a ~2.5× latency reduction) because preemption truncates delays.
+//
+// The 30 scenario points run as campaign jobs across all cores; the merge
+// order is fixed by job index, so the CSV is the same at any worker count.
 
 #include "bench_util.h"
-#include "metrics/table.h"
-#include "workload/scenario.h"
+#include "campaign/sweeps.h"
 
 int main() {
   using namespace tempriv;
-
-  metrics::Table table({"1/lambda", "NoDelay", "Delay&UnlimitedBuffers",
-                        "Delay&LimitedBuffers(RCAD)", "RCAD reduction vs unlimited"});
-
-  for (double interarrival = 2.0; interarrival <= 20.0; interarrival += 2.0) {
-    std::vector<double> row{interarrival};
-    for (const workload::Scheme scheme :
-         {workload::Scheme::kNoDelay, workload::Scheme::kUnlimitedDelay,
-          workload::Scheme::kRcad}) {
-      workload::PaperScenario scenario;
-      scenario.interarrival = interarrival;
-      scenario.scheme = scheme;
-      const auto result = run_paper_scenario(scenario);
-      row.push_back(result.flows.front().mean_latency);  // flow S1
-    }
-    row.push_back(row[2] / row[3]);  // unlimited / RCAD latency ratio
-    table.add_numeric_row(row, 2);
-  }
-
-  bench::emit("fig2b_latency", table);
+  const campaign::Sweep sweep = campaign::fig2b_sweep();
+  campaign::ProgressReporter progress(std::cerr, sweep.points.size());
+  const auto run = campaign::run_sweep(sweep, {.threads = 0, .progress = &progress});
+  progress.finish();
+  bench::emit(sweep.tag, run.table);
   return 0;
 }

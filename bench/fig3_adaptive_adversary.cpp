@@ -9,30 +9,19 @@
 // Expected shape (paper): at low traffic the two coincide; at high traffic
 // the adaptive adversary significantly reduces — but does not eliminate —
 // the estimation error.
+//
+// The 10 scenario points run as campaign jobs across all cores; the merge
+// order is fixed by job index, so the CSV is the same at any worker count.
 
 #include "bench_util.h"
-#include "metrics/table.h"
-#include "workload/scenario.h"
+#include "campaign/sweeps.h"
 
 int main() {
   using namespace tempriv;
-
-  metrics::Table table(
-      {"1/lambda", "BaselineAdversary", "AdaptiveAdversary", "reduction"});
-
-  for (double interarrival = 2.0; interarrival <= 20.0; interarrival += 2.0) {
-    workload::PaperScenario scenario;
-    scenario.interarrival = interarrival;
-    scenario.scheme = workload::Scheme::kRcad;
-    const auto result = run_paper_scenario(scenario);
-    const auto& s1 = result.flows.front();
-    table.add_numeric_row({interarrival, s1.mse_baseline, s1.mse_adaptive,
-                           s1.mse_adaptive > 0.0
-                               ? s1.mse_baseline / s1.mse_adaptive
-                               : 1.0},
-                          1);
-  }
-
-  bench::emit("fig3_adaptive_adversary", table);
+  const campaign::Sweep sweep = campaign::fig3_sweep();
+  campaign::ProgressReporter progress(std::cerr, sweep.points.size());
+  const auto run = campaign::run_sweep(sweep, {.threads = 0, .progress = &progress});
+  progress.finish();
+  bench::emit(sweep.tag, run.table);
   return 0;
 }

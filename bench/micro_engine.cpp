@@ -98,29 +98,29 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSteadyState);
 
-/// Equal-time cohorts drained with pop_batch + take versus one pop() per
-/// event: `range(0)` events share each timestamp, so the per-event cost
-/// shows how much of the head sweep / key decode the batch drain amortizes.
-void BM_EventQueuePopBatchSteadyState(benchmark::State& state) {
+/// Equal-time cohorts run in place through dispatch_next: `range(0)` events
+/// share each timestamp, so the per-event cost shows what equal-time ties
+/// cost the single dispatch path relative to the singleton case (Arg 1).
+void BM_EventQueueCohortDispatch(benchmark::State& state) {
   const std::size_t cohort = static_cast<std::size_t>(state.range(0));
-  sim::RandomStream rng(5);
   sim::EventQueue queue;
   queue.reserve(1024);
-  std::vector<sim::EventId> batch;
-  batch.reserve(1024);
   double t = 0.0;
+  double sink = 0.0;
+  const auto dispatch = [&sink](sim::Time at, sim::EventId,
+                                sim::EventQueue::Callback& action) {
+    sink += at;
+    action();
+  };
   const std::int64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     t += 1.0;
     for (std::size_t i = 0; i < cohort; ++i) {
       queue.schedule(t, [] {});
     }
-    const sim::Time at = queue.pop_batch(batch);
-    benchmark::DoNotOptimize(at);
-    for (const sim::EventId id : batch) {
-      auto action = queue.take(id);
-      benchmark::DoNotOptimize(action);
+    while (queue.dispatch_next(dispatch)) {
     }
+    benchmark::DoNotOptimize(sink);
   }
   const std::int64_t allocs = g_allocs.load(std::memory_order_relaxed) -
                               allocs_before;
@@ -129,7 +129,7 @@ void BM_EventQueuePopBatchSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cohort));
 }
-BENCHMARK(BM_EventQueuePopBatchSteadyState)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_EventQueueCohortDispatch)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_RngExponential(benchmark::State& state) {
   sim::RandomStream rng(3);

@@ -168,7 +168,7 @@ void CtrCipher::keystream(std::uint64_t nonce,
 std::vector<std::uint8_t> CtrCipher::crypt_copy(
     std::uint64_t nonce, std::span<const std::uint8_t> data) const {
   std::vector<std::uint8_t> out(data.size());
-  crypt_into(nonce, data, out);
+  xor_keystream(nonce, data, out);
   return out;
 }
 

@@ -55,12 +55,6 @@ class CtrCipher {
   void xor_keystream(std::uint64_t nonce, std::span<const std::uint8_t> in,
                      std::span<std::uint8_t> out) const noexcept;
 
-  /// Alias of xor_keystream kept for the packet path's historical name.
-  void crypt_into(std::uint64_t nonce, std::span<const std::uint8_t> in,
-                  std::span<std::uint8_t> out) const noexcept {
-    xor_keystream(nonce, in, out);
-  }
-
   /// Writes raw keystream bytes for (nonce) into caller-provided storage —
   /// whole blocks are produced per lane wave with no per-block temporaries.
   void keystream(std::uint64_t nonce,

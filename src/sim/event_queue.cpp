@@ -50,12 +50,8 @@ bool EventQueue::cancel(EventId id) {
   const std::uint32_t slot = aux_slot(aux);
   if (slot >= slot_count_) return false;
   if (slot_at(slot).aux != aux) return false;
-  // A drained event has no lane record to tombstone; just settle the
-  // outstanding count. Otherwise the record stays behind as a tombstone in
-  // whichever lane holds it.
-  if (slot_at(slot).next_free == kDrainedSlot) {
-    --outstanding_;
-  } else if (slot_at(slot).lane != 0) {
+  // The record stays behind as a tombstone in whichever lane holds it.
+  if (slot_at(slot).lane != 0) {
     ++fifo_tomb_;
   } else {
     ++heap_tomb_;
@@ -146,128 +142,11 @@ void EventQueue::drop_leading_tombstones() noexcept {
 }
 
 std::optional<EventQueue::Event> EventQueue::pop() {
-  drop_leading_tombstones();
-  const bool heap_has = !heap_.empty();
-  if (!heap_has && fifo_size_ == 0) return std::nullopt;
-  const bool from_fifo =
-      fifo_size_ != 0 && (!heap_has || fifo_front().precedes(heap_.front()));
-  const HeapEntry top = from_fifo ? fifo_front() : heap_.front();
-  const std::uint32_t slot = aux_slot(top.aux);
-  // Start pulling the slot (a random-access line) into cache while the
-  // sift-down below walks the heap; the two latencies overlap.
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(&slot_at(slot), 1);
-#endif
-  if (from_fifo) {
-    fifo_pop_front();
-  } else {
-    heap_pop_front();
-  }
-  Event event{key_to_time(top.key), EventId(top.aux),
-              std::move(slot_at(slot).action)};
-  release_slot(slot);
-  --live_count_;
-  // The new head may be a tombstone left by an earlier mid-lane cancel.
-  drop_leading_tombstones();
-  return event;
-}
-
-bool EventQueue::pop_if_single(Event& event) {
-  // All the singleton logic lives in the dispatch template; here the
-  // "dispatch" just moves the callback out into the caller's Event.
-  return dispatch_if_single([&event](Time at, EventId id, Callback& action) {
-    event.at = at;
-    event.id = id;
-    event.action = std::move(action);
+  std::optional<Event> event;
+  dispatch_next([&event](Time at, EventId id, Callback& action) {
+    event.emplace(Event{at, id, std::move(action)});
   });
-}
-
-Time EventQueue::pop_batch(std::vector<EventId>& out) {
-  out.clear();
-  drop_leading_tombstones();
-  if (heap_.empty() && fifo_size_ == 0) return kTimeInfinity;
-  std::uint64_t key = ~0ull;
-  if (!heap_.empty()) key = heap_.front().key;
-  if (fifo_size_ != 0 && fifo_front().key < key) key = fifo_front().key;
-  while (true) {
-    const bool heap_in = !heap_.empty() && heap_.front().key == key;
-    const bool fifo_in = fifo_size_ != 0 && fifo_front().key == key;
-    if (!heap_in && !fifo_in) break;
-    // Equal keys across lanes: the aux word (its high bits are the global
-    // sequence number) picks the earlier insertion, exactly as precedes().
-    HeapEntry top;
-    bool from_fifo;
-    if (heap_in && (!fifo_in || heap_.front().aux < fifo_front().aux)) {
-      top = heap_.front();
-      heap_pop_front();
-      from_fifo = false;
-    } else {
-      top = fifo_front();
-      fifo_pop_front();
-      from_fifo = true;
-    }
-    // A mid-lane cancel's tombstone may surface inside the equal-key run;
-    // only live records join the batch (their slots stay claimed until
-    // take(), marked drained for cancel()'s bookkeeping). Dead records are
-    // discharged from their lane's tombstone count here.
-    if (entry_live(top)) {
-      Slot& s = slot_at(aux_slot(top.aux));
-      s.next_free = kDrainedSlot;
-      ++outstanding_;
-      out.push_back(EventId(top.aux));
-    } else if (from_fifo) {
-      --fifo_tomb_;
-      TEMPRIV_TLM_COUNT(kEqTombstoneSkipped);
-    } else {
-      --heap_tomb_;
-      TEMPRIV_TLM_COUNT(kEqTombstoneSkipped);
-    }
-  }
-  if (!out.empty()) TEMPRIV_TLM_COUNT(kEqPopBatch);
-  // The drain may expose a buried tombstone (an earlier mid-lane cancel) at
-  // a new head; sweep so next_time() stays truthful, as pop() does.
-  drop_leading_tombstones();
-  return key_to_time(key);
-}
-
-std::optional<EventQueue::Callback> EventQueue::take(EventId id) {
-  if (!id.valid()) return std::nullopt;
-  const std::uint64_t aux = id.value();
-  const std::uint32_t slot = aux_slot(aux);
-  if (slot >= slot_count_) return std::nullopt;
-  Slot& s = slot_at(slot);
-  if (s.aux != aux) return std::nullopt;
-  // Taking an id still in a lane (the documented cancel-and-return case)
-  // leaves its record behind as a tombstone, like cancel() does.
-  if (s.next_free == kDrainedSlot) {
-    --outstanding_;
-  } else if (s.lane != 0) {
-    ++fifo_tomb_;
-  } else {
-    ++heap_tomb_;
-  }
-  std::optional<Callback> action(std::move(s.action));
-  release_slot(slot);
-  --live_count_;
-  return action;
-}
-
-void EventQueue::restore(Time at, std::span<const EventId> ids) {
-  const std::uint64_t key = time_to_key(at);
-  for (const EventId id : ids) {
-    const std::uint64_t aux = id.value();
-    const std::uint32_t slot = aux_slot(aux);
-    if (aux == 0 || slot >= slot_count_) continue;
-    Slot& s = slot_at(slot);
-    // Only drained events re-enter the heap: an id that was cancelled or
-    // taken has nothing to restore, and one still in the heap must not gain
-    // a duplicate record.
-    if (s.aux != aux || s.next_free != kDrainedSlot) continue;
-    s.next_free = kNilSlot;
-    s.lane = 0;  // the record re-enters via the heap lane
-    --outstanding_;
-    heap_push(HeapEntry{key, aux});
-  }
+  return event;
 }
 
 void EventQueue::clear() {
@@ -285,7 +164,6 @@ void EventQueue::clear() {
     free_head_ = i;
   }
   live_count_ = 0;
-  outstanding_ = 0;
 }
 
 void EventQueue::reserve(std::size_t events) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -92,13 +91,13 @@ class EventQueue {
   /// order — constant-latency link arrivals scheduled from a non-decreasing
   /// simulation clock being the canonical case. Such records bypass the
   /// heap entirely: they append to a sorted FIFO ring (O(1) insert, O(1)
-  /// pop, one 16-byte slot each) that every pop path merges with the heap
+  /// pop, one 16-byte slot each) that dispatch_next() merges with the heap
   /// by the same (time, seq) order, so execution order — and therefore
   /// every simulation result — is bit-identical to scheduling through the
   /// heap. Monotonicity is checked, not trusted: a time below the ring's
   /// tail simply routes through the heap lane, keeping correctness
-  /// unconditional. cancel()/pop_batch()/restore() work on these events
-  /// exactly as on heap-scheduled ones.
+  /// unconditional. cancel() works on these events exactly as on
+  /// heap-scheduled ones.
   template <class F>
   EventId schedule_monotone(Time at, F&& action) {
     const std::uint64_t key = time_to_key(at);
@@ -125,80 +124,25 @@ class EventQueue {
   /// or the id is invalid.
   bool cancel(EventId id);
 
-  /// Removes and returns the earliest pending event, or nullopt if empty.
-  std::optional<Event> pop();
-
-  /// Drains every pending record sharing the earliest time-key into `out`
-  /// (cleared first), in insertion order, and returns the shared time
-  /// (kTimeInfinity with an empty batch if the queue is empty). One call
-  /// replaces a pop() per event: the head sweep, key comparison, and
-  /// key→time conversion happen once per *batch* of equal-time events
-  /// instead of once per event.
-  ///
-  /// The drained events' slots are NOT released yet: claim each id with
-  /// take() to run it, or hand unrun ids back with restore(). In between,
-  /// cancel() on a drained id still works (take() then returns nullopt), and
-  /// size() still counts unclaimed events.
-  Time pop_batch(std::vector<EventId>& out);
-
-  /// Fast path for the dominant continuous-time case: when the head cohort
-  /// is exactly one event, pops it into `event` (exactly as pop() would)
-  /// and returns true. Returns false — touching nothing — when the queue is
-  /// empty or the head time-key is shared, in which case pop_batch() drains
-  /// the cohort. The singleton check inspects only the root's direct
-  /// children: heap order forces any entry sharing the head's key to have
-  /// an equal-key ancestor there. This spares singleton cohorts — the vast
-  /// majority under continuous random delays — the drained-slot
-  /// bookkeeping, batch vector traffic, and per-id take() revalidation.
-  bool pop_if_single(Event& event);
-
-  /// pop_if_single() without moving the callback out of its pool slot: when
-  /// the head cohort is exactly one event, invokes
-  /// `dispatch(Time at, EventId id, Callback& action)` with the stored
-  /// callback in place, releases the slot afterwards (even if `dispatch`
-  /// throws), and returns true. The event's handle dies before `dispatch`
-  /// runs, exactly as with pop(); the callback may freely schedule or
-  /// cancel other events while executing — pool chunks never move, and the
+  /// Removes the earliest pending event — (time, insertion) order across
+  /// both lanes — and runs it in place: invokes
+  /// `dispatch(Time at, EventId id, Callback& action)` with the callback
+  /// still in its pool slot, releases the slot afterwards (even if
+  /// `dispatch` throws), and returns true; returns false if the queue is
+  /// empty. The event's handle dies before `dispatch` runs, so cancelling it
+  /// from inside returns false. The callback may freely schedule or cancel
+  /// other events while executing: pool chunks never move, and the
   /// dispatched slot rejoins the free list only after `dispatch` returns.
-  /// This spares the dominant dispatch path one callback move plus a
-  /// destructor call per event.
+  /// Events never leave the queue until they run, so a caller that stops
+  /// between calls leaves every unrun event pending.
   template <class Dispatch>
-  bool dispatch_if_single(Dispatch&& dispatch) {
-    drop_leading_tombstones();
-    const bool heap_has = !heap_.empty();
-    if (!heap_has && fifo_size_ == 0) return false;
-    bool from_fifo;
-    if (heap_has && fifo_size_ != 0) {
-      // The cohort spans both lanes when the lane heads share a key.
-      if (fifo_front().key == heap_.front().key) return false;
-      from_fifo = fifo_front().precedes(heap_.front());
-    } else {
-      from_fifo = !heap_has;
-    }
-    HeapEntry top;
-    if (from_fifo) {
-      top = fifo_front();
-      // The ring is sorted, so only the head's immediate successor can
-      // share its key.
-      if (fifo_size_ >= 2 &&
-          fifo_[(fifo_head_ + 1) & (fifo_.size() - 1)].key == top.key) {
-        return false;
-      }
-    } else {
-      top = heap_.front();
-      // An entry sharing the head's key must have an equal-key ancestor
-      // among the root's direct children (its whole ancestor path carries
-      // keys both <= its own and >= the minimum), so these four
-      // comparisons decide singleton-ness. An equal-key *tombstone* child
-      // sends us down the batch path, where it is merely skipped — rare
-      // and still correct.
-      const std::size_t n = heap_.size();
-      const std::size_t end = n < 5 ? n : 5;
-      for (std::size_t c = 1; c < end; ++c) {
-        if (heap_[c].key == top.key) return false;
-      }
-    }
+  bool dispatch_next(Dispatch&& dispatch) {
+    if (heap_.empty() && fifo_size_ == 0) return false;
+    const bool from_fifo = fifo_leads();
+    const HeapEntry top = from_fifo ? fifo_front() : heap_.front();
     const std::uint32_t slot = aux_slot(top.aux);
+    // Start pulling the slot (a random-access line) into cache while the
+    // sift-down below walks the heap; the two latencies overlap.
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&slot_at(slot), 1);
 #endif
@@ -207,8 +151,10 @@ class EventQueue {
     } else {
       heap_pop_front();
     }
+    // The new head may be a tombstone left by an earlier mid-lane cancel.
+    drop_leading_tombstones();
     Slot& s = slot_at(slot);
-    s.aux = 0;  // the handle dies before the callback runs, as with pop()
+    s.aux = 0;  // the handle dies before the callback runs
     --live_count_;
     TEMPRIV_TLM_COUNT(kEqDispatchSingle);
     FinishDispatch finisher{*this, slot};
@@ -216,35 +162,14 @@ class EventQueue {
     return true;
   }
 
-  /// Claims an event drained by pop_batch: moves its callback out and frees
-  /// its slot. Returns nullopt if the event was cancelled (or already taken)
-  /// after the drain. Calling this on an id still in the heap is equivalent
-  /// to cancel() plus returning the callback — the heap record tombstones.
-  std::optional<Callback> take(EventId id);
-
-  /// Re-queues drained-but-unclaimed events (stop mid-batch, exception
-  /// unwind) at time `at` — the time pop_batch returned. Ids that were
-  /// cancelled or taken in the meantime are skipped. Relative order among
-  /// restored and later-scheduled events is preserved: the heap orders equal
-  /// times by the original sequence numbers, which the ids carry.
-  void restore(Time at, std::span<const EventId> ids);
+  /// dispatch_next() that moves the callback out instead of running it:
+  /// removes and returns the earliest pending event, or nullopt if empty.
+  std::optional<Event> pop();
 
   /// Time of the earliest pending event, or kTimeInfinity if empty.
   Time next_time() const noexcept {
-    // Leading tombstones are swept on every cancel/pop, so both heads are
-    // live; the earliest record is the smaller of the two lane heads.
-    std::uint64_t key = ~0ull;
-    bool any = false;
-    if (!heap_.empty()) {
-      key = heap_.front().key;
-      any = true;
-    }
-    if (fifo_size_ != 0) {
-      const std::uint64_t fkey = fifo_[fifo_head_].key;
-      if (!any || fkey < key) key = fkey;
-      any = true;
-    }
-    return any ? key_to_time(key) : kTimeInfinity;
+    if (heap_.empty() && fifo_size_ == 0) return kTimeInfinity;
+    return key_to_time((fifo_leads() ? fifo_front() : heap_.front()).key);
   }
 
   /// Number of pending (non-cancelled) events.
@@ -281,11 +206,6 @@ class EventQueue {
  private:
   static constexpr std::uint64_t kSignBit = 0x8000000000000000ull;
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  // Marks an occupied slot whose heap record was drained by pop_batch but
-  // not yet claimed/restored. Stored in Slot::next_free (unused while a slot
-  // is occupied), so cancel()/take() can tell a drained event from an
-  // in-heap one and keep the outstanding_ tombstone accounting exact.
-  static constexpr std::uint32_t kDrainedSlot = 0xfffffffeu;
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
   // The pool is stored in fixed 1024-slot chunks: growing it allocates a new
@@ -342,23 +262,24 @@ class EventQueue {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
 
-  // Scope guard for dispatch_if_single: frees the dispatched slot when the
-  // callback returns or throws (its aux is already 0, so only the action
-  // reset and the free-list push remain), then sweeps any tombstone the
-  // callback's cancels left at a lane head.
+  // Scope guard for dispatch_next: frees the dispatched slot when the
+  // callback returns or throws.
   struct FinishDispatch {
     EventQueue& queue;
     std::uint32_t slot;
-    ~FinishDispatch() {
-      Slot& s = queue.slot_at(slot);
-      s.action = Callback{};
-      s.next_free = queue.free_head_;
-      queue.free_head_ = slot;
-      queue.drop_leading_tombstones();
-    }
+    ~FinishDispatch() { queue.release_slot(slot); }
   };
   bool entry_live(const HeapEntry& entry) const noexcept {
     return slot_at(aux_slot(entry.aux)).aux == entry.aux;
+  }
+
+  // Lane selection: whether the fifo ring's head is the (key, aux)-earliest
+  // record; otherwise the heap's head is, if the queue is non-empty.
+  // Leading tombstones are swept on every cancel and dispatch, so both lane
+  // heads are live.
+  bool fifo_leads() const noexcept {
+    return fifo_size_ != 0 &&
+           (heap_.empty() || fifo_front().precedes(heap_.front()));
   }
 
   void heap_push(HeapEntry entry);
@@ -395,10 +316,8 @@ class EventQueue {
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
-  // Live events drained by pop_batch whose slots are still claimed.
-  std::size_t outstanding_ = 0;
-  // Dead (cancelled/taken) records still physically present per lane.
-  // Zero means pops can skip that lane's head-liveness probe outright —
+  // Dead (cancelled) records still physically present per lane.
+  // Zero means dispatches can skip that lane's head-liveness probe outright —
   // the common case for the fifo lane, whose link-arrival events are never
   // cancelled in practice.
   std::size_t heap_tomb_ = 0;

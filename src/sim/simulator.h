@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -16,7 +15,7 @@ namespace tempriv::sim {
 /// Components schedule callbacks at absolute or relative times; run() /
 /// run_until() advance the clock from event to event. Cancellation is first
 /// class because RCAD preemption must cancel the release event of the victim
-/// packet (see core/rcad_buffer.h).
+/// packet (see core/delay_buffer.h).
 class Simulator {
  public:
   Simulator() = default;
@@ -72,13 +71,8 @@ class Simulator {
   }
 
   /// Pre-sizes the event queue for `events` concurrent pending events so the
-  /// steady state never reallocates (see EventQueue::reserve). The drain
-  /// buffer run() batches into is pre-sized too: an equal-time cohort can
-  /// never exceed the pending-event count.
-  void reserve(std::size_t events) {
-    queue_.reserve(events);
-    batch_.reserve(events);
-  }
+  /// steady state never reallocates (see EventQueue::reserve).
+  void reserve(std::size_t events) { queue_.reserve(events); }
 
   /// Cancels a pending event; see EventQueue::cancel.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -86,21 +80,17 @@ class Simulator {
   /// Runs until the event queue is empty or stop() is called.
   /// Returns the number of events executed.
   ///
-  /// Hybrid dispatch kernel: a head event with a unique timestamp — the
-  /// vast majority under continuous random delays — pops directly
-  /// (EventQueue::pop_if_single), while equal-time events run as one
-  /// drained batch (EventQueue::pop_batch), consulting the queue once per
-  /// distinct timestamp instead of once per event. Either way the
-  /// execution order — (time, insertion order) — is exactly the
-  /// one-pop()-per-event order, including events scheduled or cancelled by
-  /// callbacks inside a batch. stop() mid-batch re-queues the not-yet-run
-  /// remainder, so pending_events() afterwards matches the unbatched
-  /// kernel's.
+  /// Every event — equal-time cohorts included — runs in place from its
+  /// pool slot through EventQueue::dispatch_next, one event per call, in
+  /// (time, insertion) order; events scheduled or cancelled by a callback
+  /// take effect for the very next dispatch. An event leaves the queue only
+  /// when it runs, so after stop() or an exception thrown by a callback
+  /// every unrun event is still pending and a later run() resumes exactly
+  /// where this one left off.
   std::size_t run();
 
   /// Runs all events with timestamp <= deadline (or until stop()); the clock
   /// then rests at min(deadline, time of last work). Returns events executed.
-  /// Batched like run().
   std::size_t run_until(Time deadline);
 
   /// Executes exactly one event if any is pending. Returns whether one ran.
@@ -119,18 +109,22 @@ class Simulator {
   std::uint64_t events_executed() const noexcept { return executed_; }
 
  private:
-  /// Executes the drained ids in batch_ at now_; re-queues the remainder on
-  /// stop() or an exception unwinding out of a callback. Returns the number
-  /// of events that actually ran. Clears batch_.
-  std::size_t run_batch();
+  /// The dispatch_next callable shared by run(), run_until() and step():
+  /// advances the clock to the event, counts it in `count` and in
+  /// events_executed(), then invokes it.
+  auto dispatcher(std::size_t& count) noexcept {
+    return [this, &count](Time at, EventId, EventQueue::Callback& action) {
+      now_ = at;
+      ++executed_;
+      ++count;
+      action();
+    };
+  }
 
   EventQueue queue_;
   Time now_ = kTimeZero;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  // Reused drain buffer for run()/run_until(): grows to the largest
-  // equal-time cohort once, then the batch loop is allocation-free.
-  std::vector<EventId> batch_;
 };
 
 }  // namespace tempriv::sim

@@ -27,9 +27,8 @@ enum class Counter : std::uint32_t {
   kEqScheduleHeap,      ///< schedule() insertions into the 4-ary heap lane
   kEqScheduleFifo,      ///< schedule_monotone() appends to the FIFO ring
   kEqFifoDiverted,      ///< monotone calls below the ring tail, rerouted to the heap
-  kEqTombstoneSkipped,  ///< dead (cancelled/taken) records dropped by pops
-  kEqDispatchSingle,    ///< dispatch_if_single() fast-path hits
-  kEqPopBatch,          ///< pop_batch() calls that drained a non-empty cohort
+  kEqTombstoneSkipped,  ///< dead (cancelled) records swept from lane heads
+  kEqDispatchSingle,    ///< events run by dispatch_next() (pop() included)
   // core::DelayBuffer preemption/ejection, per victim policy
   kBufPreemptShortest,  ///< preempt() under kShortestRemaining
   kBufPreemptLongest,   ///< preempt() under kLongestRemaining

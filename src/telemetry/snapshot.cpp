@@ -17,8 +17,6 @@ const char* name(Counter counter) noexcept {
       return "eq.tombstone_skipped";
     case Counter::kEqDispatchSingle:
       return "eq.dispatch_single";
-    case Counter::kEqPopBatch:
-      return "eq.pop_batch";
     case Counter::kBufPreemptShortest:
       return "buf.preempt.shortest_remaining";
     case Counter::kBufPreemptLongest:

@@ -198,50 +198,32 @@ TEST(AllocGuard, WarmDelayedForwardingAllocatesNothing) {
 }
 
 TEST(AllocGuard, WarmPopBatchAllocatesNothing) {
-  // The batch drain path — pop_batch into a warm vector, take() per id,
-  // restore() of an unclaimed suffix — must match pop()'s zero-allocation
-  // contract once the heap, slot pool, and batch vector are warm.
+  // Equal-time cohorts on an integer grid, run in place by Simulator::run —
+  // stopped by a cohort member and resumed by a second run() — must match
+  // pop()'s zero-allocation contract once the slot pool and heap are warm.
   RandomStream rng(14);
-  EventQueue queue;
-  queue.reserve(512);
-  std::vector<EventId> batch;
-  batch.reserve(512);
-  // Warm-up: populate slots and the batch vector with equal-time cohorts.
-  for (int i = 0; i < 512; ++i) {
-    queue.schedule(std::floor(rng.uniform(0.0, 32.0)), [] {});
-  }
-  while (queue.pop_batch(batch) != kTimeInfinity) {
-    for (const EventId id : batch) {
-      auto action = queue.take(id);
-      if (action) (*action)();
-    }
-  }
-
+  Simulator simulator;
+  simulator.reserve(512);
   double sink = 0.0;
-  const std::size_t before = allocations();
-  for (int round = 0; round < 2000; ++round) {
-    // Ties on an integer grid force multi-event batches every drain.
+  const auto wave = [&] {
     for (int j = 0; j < 16; ++j) {
-      const double at = std::floor(rng.uniform(0.0, 8.0));
-      queue.schedule(at, [&sink, at] { sink += at; });
+      const double at = simulator.now() + std::floor(rng.uniform(0.0, 8.0));
+      simulator.schedule_at(at, [&simulator, &sink, at, stop = j == 8] {
+        sink += at;
+        if (stop) simulator.stop();
+      });
     }
-    const Time at = queue.pop_batch(batch);
-    ASSERT_NE(at, kTimeInfinity);
-    // Claim the first half, hand the rest back, then drain everything.
-    const std::size_t half = batch.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      auto action = queue.take(batch[i]);
-      if (action) (*action)();
-    }
-    queue.restore(at, {batch.data() + half, batch.size() - half});
-    while (queue.pop_batch(batch) != kTimeInfinity) {
-      for (const EventId id : batch) {
-        auto action = queue.take(id);
-        if (action) (*action)();
-      }
-    }
-  }
-  EXPECT_EQ(allocations() - before, 0u) << "pop_batch allocated when warm";
+    const std::size_t ran = simulator.run();
+    return ran + simulator.run();
+  };
+  for (int i = 0; i < 32; ++i) wave();  // warm-up
+
+  std::size_t ran = 0;
+  const std::size_t before = allocations();
+  for (int round = 0; round < 2000; ++round) ran += wave();
+  EXPECT_EQ(allocations() - before, 0u)
+      << "cohort dispatch allocated when warm";
+  EXPECT_EQ(ran, 2000u * 16u);
   EXPECT_GT(sink, 0.0);
 }
 

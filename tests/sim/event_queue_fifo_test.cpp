@@ -1,6 +1,6 @@
 // The monotone FIFO lane (schedule_monotone): ordering against heap-lane
-// events, cancellation, the non-monotone fallback, cross-lane batch drains,
-// and cross-lane singleton detection.
+// events, cancellation, the non-monotone fallback, equal-time cohorts that
+// span both lanes, and in-place dispatch.
 
 #include <gtest/gtest.h>
 
@@ -90,71 +90,36 @@ TEST(EventQueueFifo, FallbackEventIsCancellable) {
 }
 
 TEST(EventQueueFifo, PopBatchMergesEqualTimeCohortAcrossLanes) {
-  // An equal-time cohort spanning both lanes drains in insertion order.
+  // An equal-time cohort spanning both lanes pops in insertion order.
   EventQueue q;
-  q.schedule(4.0, [] {});           // seq 1, heap
-  q.schedule_monotone(4.0, [] {});  // seq 2, fifo
-  q.schedule(4.0, [] {});           // seq 3, heap
-  q.schedule_monotone(4.0, [] {});  // seq 4, fifo
-  q.schedule_monotone(6.0, [] {});  // later; must stay behind
-  std::vector<EventId> batch;
-  const Time at = q.pop_batch(batch);
-  EXPECT_DOUBLE_EQ(at, 4.0);
-  ASSERT_EQ(batch.size(), 4u);
-  for (std::size_t i = 1; i < batch.size(); ++i) {
-    // aux words carry the global sequence number in their high bits.
-    EXPECT_LT(batch[i - 1].value(), batch[i].value());
+  std::vector<int> order;
+  q.schedule(4.0, [&] { order.push_back(1); });
+  q.schedule_monotone(4.0, [&] { order.push_back(2); });
+  q.schedule(4.0, [&] { order.push_back(3); });
+  q.schedule_monotone(4.0, [&] { order.push_back(4); });
+  q.schedule_monotone(6.0, [&] { order.push_back(5); });  // stays behind
+  for (int i = 0; i < 4; ++i) {
+    auto event = q.pop();
+    ASSERT_TRUE(event.has_value());
+    EXPECT_DOUBLE_EQ(event->at, 4.0);
+    event->action();
   }
-  for (const EventId id : batch) EXPECT_TRUE(q.take(id).has_value());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_DOUBLE_EQ(q.next_time(), 6.0);
 }
 
 TEST(EventQueueFifo, PopBatchSkipsFifoTombstonesInsideCohort) {
   EventQueue q;
-  q.schedule_monotone(4.0, [] {});
-  const EventId doomed = q.schedule_monotone(4.0, [] {});
-  q.schedule(4.0, [] {});
+  std::vector<int> order;
+  q.schedule_monotone(4.0, [&] { order.push_back(1); });
+  const EventId doomed = q.schedule_monotone(4.0, [&] { order.push_back(2); });
+  q.schedule(4.0, [&] { order.push_back(3); });
   EXPECT_TRUE(q.cancel(doomed));
-  std::vector<EventId> batch;
-  const Time at = q.pop_batch(batch);
-  EXPECT_DOUBLE_EQ(at, 4.0);
-  EXPECT_EQ(batch.size(), 2u);
-}
-
-TEST(EventQueueFifo, PopIfSingleRejectsCrossLaneTie) {
-  EventQueue q;
-  q.schedule(3.0, [] {});
-  q.schedule_monotone(3.0, [] {});
-  EventQueue::Event event;
-  // The head cohort spans both lanes: the fast path must decline so the
-  // batch path can merge the tie in insertion order.
-  EXPECT_FALSE(q.pop_if_single(event));
-  std::vector<EventId> batch;
-  q.pop_batch(batch);
-  EXPECT_EQ(batch.size(), 2u);
-}
-
-TEST(EventQueueFifo, PopIfSingleRejectsFifoInternalTie) {
-  EventQueue q;
-  q.schedule_monotone(3.0, [] {});
-  q.schedule_monotone(3.0, [] {});
-  EventQueue::Event event;
-  EXPECT_FALSE(q.pop_if_single(event));
-  std::vector<EventId> batch;
-  q.pop_batch(batch);
-  EXPECT_EQ(batch.size(), 2u);
-}
-
-TEST(EventQueueFifo, PopIfSingleTakesEarlierLaneHead) {
-  EventQueue q;
-  q.schedule(2.0, [] {});
-  q.schedule_monotone(1.0, [] {});
-  EventQueue::Event event;
-  ASSERT_TRUE(q.pop_if_single(event));
-  EXPECT_DOUBLE_EQ(event.at, 1.0);  // fifo head precedes heap head
-  ASSERT_TRUE(q.pop_if_single(event));
-  EXPECT_DOUBLE_EQ(event.at, 2.0);
-  EXPECT_FALSE(q.pop_if_single(event));
+  while (auto event = q.pop()) {
+    EXPECT_DOUBLE_EQ(event->at, 4.0);
+    event->action();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
   EXPECT_TRUE(q.empty());
 }
 
@@ -162,36 +127,47 @@ TEST(EventQueueFifo, DispatchIfSingleRunsCallbackInPlace) {
   EventQueue q;
   int fired = 0;
   const EventId id = q.schedule_monotone(1.5, [&] { ++fired; });
-  bool dispatched = q.dispatch_if_single(
+  bool dispatched = q.dispatch_next(
       [&](Time at, EventId seen, EventQueue::Callback& action) {
         EXPECT_DOUBLE_EQ(at, 1.5);
         EXPECT_EQ(seen, id);
+        // The handle dies before the callback runs.
+        EXPECT_FALSE(q.cancel(seen));
         action();
       });
   EXPECT_TRUE(dispatched);
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(q.empty());
-  // The handle died when the event fired.
   EXPECT_FALSE(q.cancel(id));
+  EXPECT_FALSE(q.dispatch_next([](Time, EventId, EventQueue::Callback&) {
+    ADD_FAILURE() << "dispatched from an empty queue";
+  }));
 }
 
 TEST(EventQueueFifo, DispatchIfSingleAllowsSchedulingFromCallback) {
   // The dispatched callback may schedule and cancel freely — the slot it
-  // runs from is released only after it returns.
+  // runs from is released only after it returns. Equal-time events it
+  // schedules run after the cohort already pending at that time, and a
+  // cohort member it cancels never runs.
   EventQueue q;
   std::vector<int> order;
+  EventId doomed_peer;
   q.schedule_monotone(1.0, [&] {
     order.push_back(1);
-    q.schedule_monotone(2.0, [&] { order.push_back(2); });
+    q.schedule_monotone(2.0, [&] { order.push_back(4); });
+    q.schedule(1.0, [&] { order.push_back(3); });
     const EventId doomed = q.schedule(1.5, [&] { order.push_back(-1); });
     q.cancel(doomed);
+    q.cancel(doomed_peer);
   });
+  q.schedule(1.0, [&] { order.push_back(2); });
+  doomed_peer = q.schedule_monotone(1.0, [&] { order.push_back(-2); });
   const auto dispatch = [&](Time, EventId, EventQueue::Callback& action) {
     action();
   };
-  while (q.dispatch_if_single(dispatch)) {
+  while (q.dispatch_next(dispatch)) {
   }
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_TRUE(q.empty());
 }
 

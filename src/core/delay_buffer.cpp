@@ -1,11 +1,28 @@
 #include "core/delay_buffer.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "telemetry/probes.h"
 
 namespace tempriv::core {
+
+namespace {
+
+/// One draw from `delay`, held to the finite, >= 0 contract that
+/// DelayDistribution only documents: a NaN would break the heap order and a
+/// negative delay would schedule into the past.
+double draw_delay(const DelayDistribution& delay, sim::RandomStream& rng) {
+  const double sampled = delay.sample(rng);
+  if (!std::isfinite(sampled) || sampled < 0.0) {
+    throw std::invalid_argument(
+        "DelayBuffer: delay must be finite and >= 0");
+  }
+  return sampled;
+}
+
+}  // namespace
 
 DelayBuffer::DelayBuffer(std::shared_ptr<const DelayDistribution> delay,
                          VictimPolicy policy)
@@ -24,7 +41,7 @@ std::vector<DelayBuffer::Held> DelayBuffer::snapshot() const {
 
 void DelayBuffer::reserve(std::size_t capacity) {
   slots_.reserve(capacity);
-  if (uses_heap()) heap_.reserve(capacity);
+  heap_.reserve(capacity);
 }
 
 std::uint32_t DelayBuffer::acquire_slot() {
@@ -32,11 +49,9 @@ std::uint32_t DelayBuffer::acquire_slot() {
     const std::uint32_t slot = free_head_;
     free_head_ = slots_[slot].next_free;
     slots_[slot].next_free = kNilSlot;
-    slots_[slot].live = true;
     return slot;
   }
   slots_.emplace_back();
-  slots_.back().live = true;
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -67,22 +82,9 @@ void DelayBuffer::unlink(std::uint32_t slot) noexcept {
   s.prev = s.next = kNilSlot;
 }
 
-bool DelayBuffer::heap_precedes(const HeapNode& a,
-                                const HeapNode& b) const noexcept {
-  if (a.key != b.key) return a.key < b.key;
-  return a.admit_seq < b.admit_seq;
-}
-
 void DelayBuffer::heap_push(std::uint32_t slot) {
-  const Slot& s = slots_[slot];
-  HeapNode node;
-  node.key = policy_ == VictimPolicy::kLongestRemaining
-                 ? -s.held.release_time
-                 : s.held.release_time;
-  node.admit_seq = s.admit_seq;
-  node.slot = slot;
-  heap_.push_back(node);
-  heap_sift(static_cast<std::uint32_t>(heap_.size() - 1), node);
+  heap_.push_back(node_of(slot));
+  heap_sift(static_cast<std::uint32_t>(heap_.size() - 1), heap_.back());
 }
 
 void DelayBuffer::heap_sift(std::uint32_t pos, HeapNode node) noexcept {
@@ -126,37 +128,60 @@ void DelayBuffer::heap_remove(std::uint32_t slot) noexcept {
   }
 }
 
-void DelayBuffer::admit(net::Packet&& packet, net::NodeContext& ctx) {
-  admit_with_delay(std::move(packet), ctx, delay_->sample(ctx.rng()));
+void DelayBuffer::arm(net::NodeContext& ctx) {
+  const HeapNode& root = heap_.front();
+  timer_ = ctx.simulator().schedule_at(root.key, root.seq,
+                                       [this, &ctx] { release(ctx); });
 }
 
-void DelayBuffer::admit_with_delay(net::Packet&& packet, net::NodeContext& ctx,
-                                   double delay) {
-  if (delay < 0.0) {
-    throw std::invalid_argument("DelayBuffer::admit_with_delay: negative delay");
-  }
-  const double now = ctx.simulator().now();
-  const std::uint64_t uid = packet.uid;
+void DelayBuffer::retime(sim::Simulator& sim) {
+  const HeapNode& root = heap_.front();
+  timer_ = sim.rekey(timer_, root.key, root.seq);
+}
+
+void DelayBuffer::fill(std::uint32_t slot, net::Packet&& packet,
+                       sim::Simulator& sim, double delay) {
+  Held& held = slots_[slot].held;
+  const double now = sim.now();
+  held.packet = std::move(packet);
+  held.enqueue_time = now;
+  held.release_time = now + delay;
+  held.seq = sim.reserve_seq();
+}
+
+void DelayBuffer::admit(net::Packet&& packet, net::NodeContext& ctx,
+                        const DelayDistribution& delay) {
+  const double sampled = draw_delay(delay, ctx.rng());
   const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.held.packet = std::move(packet);
-  s.held.enqueue_time = now;
-  s.held.release_time = now + delay;
-  s.admit_seq = next_admit_seq_++;
-  s.held.release_event = ctx.simulator().schedule_after(
-      delay, [this, slot, uid, &ctx] { release(slot, uid, ctx); });
+  fill(slot, std::move(packet), ctx.simulator(), sampled);
   link_back(slot);
-  if (uses_heap()) heap_push(slot);
+  heap_push(slot);
   ++live_count_;
   TEMPRIV_TLM_HIST(kBufOccupancy, live_count_);
   TEMPRIV_TLM_GAUGE_MAX(kBufPeakOccupancy, live_count_);
+  if (live_count_ == 1) {
+    arm(ctx);
+  } else if (slots_[slot].heap_pos == 0) {
+    retime(ctx.simulator());
+  }
 }
 
 std::uint32_t DelayBuffer::victim_slot(sim::RandomStream& rng) const {
   switch (policy_) {
     case VictimPolicy::kShortestRemaining:
-    case VictimPolicy::kLongestRemaining:
       return heap_.front().slot;
+    case VictimPolicy::kLongestRemaining: {
+      // Latest release; among equal release times the first admitted.
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < heap_.size(); ++i) {
+        const HeapNode& node = heap_[i];
+        if (node.key > heap_[best].key ||
+            (node.key == heap_[best].key && node.seq < heap_[best].seq)) {
+          best = i;
+        }
+      }
+      return heap_[best].slot;
+    }
     case VictimPolicy::kOldest:
       return head_;
     case VictimPolicy::kRandom: {
@@ -171,16 +196,32 @@ std::uint32_t DelayBuffer::victim_slot(sim::RandomStream& rng) const {
   throw std::logic_error("DelayBuffer::victim_slot: unknown policy");
 }
 
-net::Packet DelayBuffer::extract(std::uint32_t slot, net::NodeContext& ctx) {
-  Slot& s = slots_[slot];
-  ctx.simulator().cancel(s.held.release_event);
-  net::Packet packet = std::move(s.held.packet);
-  unlink(slot);
-  if (s.heap_pos != kNilSlot) heap_remove(slot);
-  s.live = false;
-  s.next_free = free_head_;
+void DelayBuffer::free_slot(std::uint32_t slot) noexcept {
+  heap_remove(slot);
+  slots_[slot].next_free = free_head_;
   free_head_ = slot;
+}
+
+net::Packet DelayBuffer::take(std::uint32_t slot) noexcept {
+  unlink(slot);
+  free_slot(slot);
   --live_count_;
+  return slots_[slot].held.packet;
+}
+
+void DelayBuffer::follow_root(bool root_left, sim::Simulator& sim) {
+  if (live_count_ == 0) {
+    sim.cancel(timer_);
+    timer_ = sim::EventId{};
+  } else if (root_left) {
+    retime(sim);
+  }
+}
+
+net::Packet DelayBuffer::extract(std::uint32_t slot, net::NodeContext& ctx) {
+  const bool was_root = slots_[slot].heap_pos == 0;
+  net::Packet packet = take(slot);
+  follow_root(was_root, ctx.simulator());
   return packet;
 }
 
@@ -193,6 +234,40 @@ net::Packet DelayBuffer::preempt(net::NodeContext& ctx) {
   return extract(victim_slot(ctx.rng()), ctx);
 }
 
+void DelayBuffer::preempt_and_admit(net::Packet&& packet, net::NodeContext& ctx,
+                                    const DelayDistribution& delay) {
+  if (live_count_ == 0) {
+    throw std::logic_error("DelayBuffer::preempt_and_admit: empty buffer");
+  }
+  TEMPRIV_TLM_COUNT_AT(telemetry::preempt_counter(
+      static_cast<std::uint32_t>(policy_)));
+  const std::uint32_t slot = victim_slot(ctx.rng());
+  const std::uint32_t pos = slots_[slot].heap_pos;
+  // The victim leaves the admission list now; its slot and heap node stay
+  // behind as the hole the new packet fills.
+  unlink(slot);
+  --live_count_;
+  sim::Simulator& sim = ctx.simulator();
+  double sampled = 0.0;
+  try {
+    ctx.transmit(std::move(slots_[slot].held.packet));
+    sampled = draw_delay(delay, ctx.rng());
+  } catch (...) {
+    // End as preempt() would have: the hole leaves the heap and the timer
+    // follows the new root.
+    free_slot(slot);
+    follow_root(pos == 0, sim);
+    throw;
+  }
+  fill(slot, std::move(packet), sim, sampled);
+  link_back(slot);
+  heap_sift(pos, node_of(slot));
+  ++live_count_;
+  TEMPRIV_TLM_HIST(kBufOccupancy, live_count_);
+  TEMPRIV_TLM_GAUGE_MAX(kBufPeakOccupancy, live_count_);
+  if (pos == 0 || slots_[slot].heap_pos == 0) retime(sim);
+}
+
 net::Packet DelayBuffer::eject(std::size_t index, net::NodeContext& ctx) {
   if (index >= live_count_) {
     throw std::out_of_range("DelayBuffer::eject: bad index");
@@ -203,18 +278,15 @@ net::Packet DelayBuffer::eject(std::size_t index, net::NodeContext& ctx) {
   return extract(slot, ctx);
 }
 
-void DelayBuffer::release(std::uint32_t slot, std::uint64_t uid,
-                          net::NodeContext& ctx) {
-  // Defensive: eject()/preempt() cancel the release event, so a fired event
-  // whose slot was recycled (or freed) indicates a kernel bug — skip rather
-  // than transmit the wrong packet.
-  if (slot >= slots_.size() || !slots_[slot].live ||
-      slots_[slot].held.packet.uid != uid) {
-    return;
+void DelayBuffer::release(net::NodeContext& ctx) {
+  // The fired timer was keyed on the root, which is therefore due now.
+  net::Packet packet = take(heap_.front().slot);
+  if (live_count_ != 0) {
+    arm(ctx);
+  } else {
+    timer_ = sim::EventId{};
   }
-  // extract() re-cancels the (already fired) release event; that cancel is a
-  // cheap no-op returning false.
-  ctx.transmit(extract(slot, ctx));
+  ctx.transmit(std::move(packet));
 }
 
 std::size_t select_victim(const std::vector<DelayBuffer::Held>& held,

@@ -50,14 +50,14 @@ void ErlangTunedRcad::retune(double now) {
 
 void ErlangTunedRcad::on_packet(net::Packet&& packet, net::NodeContext& ctx) {
   retune(ctx.simulator().now());
+  const ExponentialDelay delay(current_mean_);
   if (buffer_.size() >= config_.capacity) {
     // Safety net for bursts the EWMA lags behind: classic RCAD preemption.
-    net::Packet early = buffer_.preempt(ctx);
     ++preemptions_;
-    ctx.transmit(std::move(early));
+    buffer_.preempt_and_admit(std::move(packet), ctx, delay);
+  } else {
+    buffer_.admit(std::move(packet), ctx, delay);
   }
-  buffer_.admit_with_delay(std::move(packet), ctx,
-                           ctx.rng().exponential_mean(current_mean_));
 }
 
 net::DisciplineFactory erlang_tuned_rcad_factory(

@@ -156,11 +156,12 @@ void Network::handle(NodeId node, Packet&& packet) {
       const std::uint32_t slot = disc_slot_[node];
       core::DelayBuffer& buffer = buffers_[slot];
       if (buffer.size() >= capacity_[slot]) {
-        Packet early = buffer.preempt(ctx_[node]);
+        // The victim leaves through ctx_[node].transmit (transmit_from).
         ++preemptions_[slot];
-        transmit_from(node, std::move(early));
+        buffer.preempt_and_admit(std::move(packet), ctx_[node]);
+      } else {
+        buffer.admit(std::move(packet), ctx_[node]);
       }
-      buffer.admit(std::move(packet), ctx_[node]);
       break;
     }
     case NodeRole::kCustom:

@@ -190,7 +190,7 @@ class Network {
 
   /// The NodeContext the disciplines and DelayBuffers see. One per node in
   /// a flat vector sized at construction and never resized afterwards —
-  /// buffer release events capture the context address.
+  /// buffer release timers capture the context address.
   class NodeCtx final : public NodeContext {
    public:
     NodeCtx() = default;
@@ -257,7 +257,7 @@ class Network {
   std::vector<NodeCtx> ctx_;  // stable addresses after construction
 
   // Dense per-discipline-slot state for the buffering built-ins. buffers_
-  // never grows after construction (release events capture buffer
+  // never grows after construction (release timers capture buffer
   // addresses).
   std::vector<core::DelayBuffer> buffers_;
   std::vector<std::size_t> capacity_;  // SIZE_MAX = unbounded

@@ -5,23 +5,19 @@
 
 namespace tempriv::sim {
 
-std::uint64_t EventQueue::next_aux(std::uint32_t slot) {
-  if (next_seq_ >= (1ull << 40)) {
-    throw std::length_error("EventQueue: sequence number space exhausted");
-  }
-  return (next_seq_++ << kSlotBits) | slot;
+void EventQueue::throw_seq_exhausted() {
+  throw std::length_error("EventQueue: sequence number space exhausted");
 }
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t slot = free_head_;
     Slot& s = slot_at(slot);
-    free_head_ = s.next_free;
+    free_head_ = s.link;
 #if defined(__GNUC__) || defined(__clang__)
     // Warm the next free slot's line for the next schedule() call.
     if (free_head_ != kNilSlot) __builtin_prefetch(&slot_at(free_head_), 1);
 #endif
-    s.next_free = kNilSlot;
     return slot;
   }
   if (slot_count_ == kMaxSlots) {
@@ -37,10 +33,10 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   Slot& s = slot_at(slot);
   s.action = Callback{};
   // Resetting the occupant word invalidates the outstanding handle and any
-  // heap record for this slot's previous event; the next occupant's aux has
+  // fifo record for this slot's previous event; the next occupant's aux has
   // a fresh sequence number, so stale records can never spring back to life.
   s.aux = 0;
-  s.next_free = free_head_;
+  s.link = free_head_;
   free_head_ = slot;
 }
 
@@ -49,32 +45,81 @@ bool EventQueue::cancel(EventId id) {
   const std::uint64_t aux = id.value();
   const std::uint32_t slot = aux_slot(aux);
   if (slot >= slot_count_) return false;
-  if (slot_at(slot).aux != aux) return false;
-  // The record stays behind as a tombstone in whichever lane holds it.
-  if (slot_at(slot).lane != 0) {
-    ++fifo_tomb_;
-  } else {
-    ++heap_tomb_;
-  }
+  Slot& s = slot_at(slot);
+  if (s.aux != aux) return false;
+  const std::uint32_t link = s.link;
   release_slot(slot);
   --live_count_;
-  // Sweep the heads now so next_time() never reports a cancelled event.
-  drop_leading_tombstones();
+  if (link != kInFifo) {
+    heap_erase(link);
+  } else {
+    // The ring record stays behind; sweep the head now so next_time()
+    // never reports a cancelled event.
+    ++fifo_tomb_;
+    drop_fifo_tombstones();
+  }
   return true;
+}
+
+EventId EventQueue::rekey(EventId id, Time at, std::uint64_t seq) {
+  if (!id.valid()) return EventId{};
+  const std::uint32_t slot = aux_slot(id.value());
+  if (slot >= slot_count_) return EventId{};
+  Slot& s = slot_at(slot);
+  if (s.aux != id.value() || s.link == kInFifo) return EventId{};
+  const std::uint64_t aux = make_aux(seq, slot);
+  s.aux = aux;
+  heap_sift(s.link, HeapEntry{time_to_key(at), aux});
+  TEMPRIV_TLM_COUNT(kEqRekey);
+  return EventId(aux);
+}
+
+void EventQueue::heap_push(HeapEntry entry) {
+  heap_.push_back(entry);
+  heap_sift_up(heap_.size() - 1, entry);
 }
 
 // Sift up with a hole: the entry is written once at its final position
 // instead of swapped level by level.
-void EventQueue::heap_push(HeapEntry entry) {
-  std::size_t pos = heap_.size();
-  heap_.push_back(entry);
+void EventQueue::heap_sift_up(std::size_t pos, HeapEntry entry) noexcept {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
     if (!entry.precedes(heap_[parent])) break;
-    heap_[pos] = heap_[parent];
+    heap_place(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = entry;
+  heap_place(pos, entry);
+}
+
+void EventQueue::heap_sift_down(std::size_t pos, HeapEntry entry) noexcept {
+  const std::size_t n = heap_.size();
+  while (true) {
+    const std::size_t first_child = 4 * pos + 1;
+    if (first_child >= n) break;
+    const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
+    std::size_t best = first_child;
+    for (std::size_t c = first_child + 1; c < end; ++c) {
+      if (heap_[c].precedes(heap_[best])) best = c;
+    }
+    if (!heap_[best].precedes(entry)) break;
+    heap_place(pos, heap_[best]);
+    pos = best;
+  }
+  heap_place(pos, entry);
+}
+
+void EventQueue::heap_sift(std::size_t pos, HeapEntry entry) noexcept {
+  if (pos > 0 && entry.precedes(heap_[(pos - 1) / 4])) {
+    heap_sift_up(pos, entry);
+  } else {
+    heap_sift_down(pos, entry);
+  }
+}
+
+void EventQueue::heap_erase(std::size_t pos) noexcept {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) heap_sift(pos, last);
 }
 
 // Removes the root, bottom-up (Wegener): descend along minimum children to
@@ -103,16 +148,10 @@ void EventQueue::heap_pop_front() noexcept {
     for (std::size_t c = first_child + 1; c < end; ++c) {
       if (heap_[c].precedes(heap_[best])) best = c;
     }
-    heap_[pos] = heap_[best];
+    heap_place(pos, heap_[best]);
     pos = best;
   }
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 4;
-    if (!last.precedes(heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    pos = parent;
-  }
-  heap_[pos] = last;
+  heap_sift_up(pos, last);
 }
 
 void EventQueue::fifo_grow() {
@@ -125,15 +164,8 @@ void EventQueue::fifo_grow() {
   fifo_head_ = 0;
 }
 
-void EventQueue::drop_leading_tombstones() noexcept {
-  // Each lane's head is probed only while that lane carries dead records —
-  // cancel-free lanes (the fifo lane, in practice) cost one counter branch.
-  // Tombstones still buried mid-lane surface on later pops.
-  while (heap_tomb_ != 0 && !heap_.empty() && !entry_live(heap_.front())) {
-    heap_pop_front();
-    --heap_tomb_;
-    TEMPRIV_TLM_COUNT(kEqTombstoneSkipped);
-  }
+void EventQueue::drop_fifo_tombstones() noexcept {
+  // Tombstones still buried mid-ring surface on later pops.
   while (fifo_tomb_ != 0 && fifo_size_ != 0 && !entry_live(fifo_front())) {
     fifo_pop_front();
     --fifo_tomb_;
@@ -153,14 +185,13 @@ void EventQueue::clear() {
   heap_.clear();
   fifo_head_ = 0;
   fifo_size_ = 0;
-  heap_tomb_ = 0;
   fifo_tomb_ = 0;
   free_head_ = kNilSlot;
   for (std::uint32_t i = slot_count_; i-- > 0;) {
     Slot& s = slot_at(i);
     s.action = Callback{};
     s.aux = 0;
-    s.next_free = free_head_;
+    s.link = free_head_;
     free_head_ = i;
   }
   live_count_ = 0;

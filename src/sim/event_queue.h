@@ -35,9 +35,11 @@ class EventId {
   std::uint64_t value_ = 0;
 };
 
-/// Priority queue of timed callbacks with O(log n) insert/pop and O(1)
-/// cancellation. Ties in time are broken by insertion order so runs are
-/// fully deterministic.
+/// Priority queue of timed callbacks with O(log n) insert, pop, cancel and
+/// re-key. Every event carries a sequence number from one counter, and ties
+/// in time are broken by it, so runs are fully deterministic: schedule()
+/// draws the number at insertion (insertion order), and a caller that must
+/// key an event on an earlier instant draws it ahead with reserve_seq().
 ///
 /// The design is a free-listed slot pool plus a 4-ary implicit heap of
 /// 16-byte {key, aux} records:
@@ -48,19 +50,22 @@ class EventId {
 ///    integer (IEEE-754 totally ordered for finite doubles), and `aux`
 ///    packs {seq:40, slot:24}, so the heap's entire (time, seq) ordering
 ///    contract is two integer compares on one 16-byte record;
-///  - EventId is the aux word itself, so cancel() is an array index plus one
-///    8-byte identity compare — no hashing, no tombstone set;
-///  - cancelling frees the slot immediately and leaves the heap record
-///    behind as a tombstone; records whose aux no longer matches their
-///    slot's current occupant are skipped when they surface at the head,
-///    and cancel-free workloads skip the check entirely.
-/// In steady state (pool and heap at capacity) schedule/cancel/pop perform
-/// zero heap allocations (see the allocation-counter test and microbench).
+///  - EventId is the aux word itself, so a handle check is an array index
+///    plus one 8-byte identity compare — no hashing;
+///  - heap records are position-tracked (each live slot holds its record's
+///    heap index), so cancel() removes the record and rekey() re-sites it in
+///    O(log n): the heap holds live events only. The FIFO lane's records
+///    never move, and a cancelled one stays behind until it reaches the
+///    ring's head (the simulator never cancels a link arrival).
+/// In steady state (pool and heap at capacity) schedule/cancel/rekey/pop
+/// perform zero heap allocations (see the allocation-counter test and
+/// microbench).
 class EventQueue {
  public:
-  /// Inline capture budget for scheduled callbacks: enough for the largest
-  /// hot-path lambda in the simulator (DelayBuffer's release closure); a
-  /// bigger callable still works but falls back to one heap allocation.
+  /// Inline capture budget for scheduled callbacks: enough for every
+  /// hot-path lambda in the simulator (link arrivals, source ticks,
+  /// DelayBuffer's release timer); a bigger callable still works but falls
+  /// back to one heap allocation.
   using Callback = InlineCallback<48>;
 
   struct Event {
@@ -74,18 +79,41 @@ class EventQueue {
   /// events or 2^40 total events (far beyond any simulated workload).
   template <class F>
   EventId schedule(Time at, F&& action) {
+    return schedule(at, reserve_seq(), std::forward<F>(action));
+  }
+
+  /// schedule() keyed on (at, seq) with a sequence number drawn earlier by
+  /// reserve_seq(): the event runs exactly where one scheduled at the
+  /// reserving instant would have. `seq` must be carried by no other pending
+  /// event. Always takes the heap lane.
+  template <class F>
+  EventId schedule(Time at, std::uint64_t seq, F&& action) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_at(slot);
     s.action.emplace(std::forward<F>(action));
-    const std::uint64_t aux = next_aux(slot);
+    const std::uint64_t aux = make_aux(seq, slot);
     s.aux = aux;
-    s.lane = 0;
     heap_push(HeapEntry{time_to_key(at), aux});
     ++live_count_;
     TEMPRIV_TLM_COUNT(kEqScheduleHeap);
     TEMPRIV_TLM_GAUGE_MAX(kEqPeakDepth, live_count_);
     return EventId(aux);
   }
+
+  /// Draws the next sequence number — the one a schedule() call made now
+  /// would consume — for a later schedule(at, seq, ...) or rekey().
+  /// Throws std::length_error once 2^40 numbers have been drawn.
+  std::uint64_t reserve_seq() {
+    if (next_seq_ >= kSeqLimit) throw_seq_exhausted();
+    return next_seq_++;
+  }
+
+  /// Moves the pending heap-lane event `id` to (at, seq) in place — one
+  /// O(log n) sift, no slot or callback traffic — where `seq` obeys the
+  /// schedule(at, seq, ...) rule. Returns the event's new handle; `id` dies
+  /// unless `seq` is the number it already carried. Returns an invalid
+  /// EventId, changing nothing, if `id` is not a pending heap-lane event.
+  EventId rekey(EventId id, Time at, std::uint64_t seq);
 
   /// schedule() for event streams whose times arrive in non-decreasing
   /// order — constant-latency link arrivals scheduled from a non-decreasing
@@ -105,12 +133,13 @@ class EventQueue {
       TEMPRIV_TLM_COUNT(kEqFifoDiverted);
       return schedule(at, std::forward<F>(action));
     }
+    const std::uint64_t seq = reserve_seq();
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_at(slot);
     s.action.emplace(std::forward<F>(action));
-    const std::uint64_t aux = next_aux(slot);
+    const std::uint64_t aux = make_aux(seq, slot);
     s.aux = aux;
-    s.lane = 1;
+    s.link = kInFifo;
     fifo_push(HeapEntry{key, aux});
     fifo_tail_key_ = key;
     ++live_count_;
@@ -148,11 +177,11 @@ class EventQueue {
 #endif
     if (from_fifo) {
       fifo_pop_front();
+      // The ring's new head may be a record cancelled mid-lane.
+      if (fifo_tomb_ != 0) [[unlikely]] drop_fifo_tombstones();
     } else {
       heap_pop_front();
     }
-    // The new head may be a tombstone left by an earlier mid-lane cancel.
-    drop_leading_tombstones();
     Slot& s = slot_at(slot);
     s.aux = 0;  // the handle dies before the callback runs
     --live_count_;
@@ -177,7 +206,7 @@ class EventQueue {
   bool empty() const noexcept { return live_count_ == 0; }
 
   /// Drops every pending event, frees all pool slots, and discards any
-  /// tombstoned heap records. Handles issued before clear() are invalidated
+  /// cancelled fifo records. Handles issued before clear() are invalidated
   /// (their slots' occupant words are reset), so they can never cancel an
   /// event scheduled afterwards. Capacity is retained.
   void clear();
@@ -215,15 +244,20 @@ class EventQueue {
   static constexpr std::uint32_t kChunkShift = 10;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
+  // A live heap-lane occupant's `link` is its record's index in heap_,
+  // which stays below 2^24; this value marks a fifo-lane occupant instead.
+  static constexpr std::uint32_t kInFifo = 0xfffffffeu;
+  static constexpr std::uint64_t kSeqLimit = 1ull << 40;
+
   struct Slot {
     Callback action;
     std::uint64_t aux = 0;  // current occupant's identity; 0 = free
-    std::uint32_t next_free = kNilSlot;
-    // Which lane holds the occupant's record (0 heap, 1 fifo): cancelling
-    // charges the tombstone to the right lane's counter, so pops only probe
-    // a lane's head when that lane actually carries dead records.
-    std::uint8_t lane = 0;
+    // Free: the next free slot. Live heap-lane occupant: its record's index
+    // in heap_, rewritten by every heap move. Live fifo-lane occupant:
+    // kInFifo.
+    std::uint32_t link = kNilSlot;
   };
+  static_assert(sizeof(Slot) == 80, "EventQueue::Slot layout changed");
 
   struct HeapEntry {
     std::uint64_t key;  // time_to_key(at)
@@ -258,7 +292,11 @@ class EventQueue {
     return static_cast<std::uint32_t>(aux & (kMaxSlots - 1));
   }
 
-  std::uint64_t next_aux(std::uint32_t slot);
+  static constexpr std::uint64_t make_aux(std::uint64_t seq,
+                                          std::uint32_t slot) noexcept {
+    return (seq << kSlotBits) | slot;
+  }
+  [[noreturn]] static void throw_seq_exhausted();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
 
@@ -274,17 +312,29 @@ class EventQueue {
   }
 
   // Lane selection: whether the fifo ring's head is the (key, aux)-earliest
-  // record; otherwise the heap's head is, if the queue is non-empty.
-  // Leading tombstones are swept on every cancel and dispatch, so both lane
-  // heads are live.
+  // record; otherwise the heap's head is, if the queue is non-empty. The
+  // heap holds live records only, and the ring's leading cancelled records
+  // are swept on every cancel and dispatch, so both lane heads are live.
   bool fifo_leads() const noexcept {
     return fifo_size_ != 0 &&
            (heap_.empty() || fifo_front().precedes(heap_.front()));
   }
 
+  // Writes `entry` at heap index `pos` and records the position in its
+  // slot; every heap move goes through here.
+  void heap_place(std::size_t pos, HeapEntry entry) noexcept {
+    heap_[pos] = entry;
+    slot_at(aux_slot(entry.aux)).link = static_cast<std::uint32_t>(pos);
+  }
   void heap_push(HeapEntry entry);
   void heap_pop_front() noexcept;
-  void drop_leading_tombstones() noexcept;
+  void heap_erase(std::size_t pos) noexcept;
+  // Re-sites `entry` from hole `pos`, up or down, written once at its
+  // final position (hole-based, no swaps).
+  void heap_sift(std::size_t pos, HeapEntry entry) noexcept;
+  void heap_sift_up(std::size_t pos, HeapEntry entry) noexcept;
+  void heap_sift_down(std::size_t pos, HeapEntry entry) noexcept;
+  void drop_fifo_tombstones() noexcept;
 
   const HeapEntry& fifo_front() const noexcept { return fifo_[fifo_head_]; }
   void fifo_pop_front() noexcept {
@@ -302,6 +352,7 @@ class EventQueue {
   // a binary heap this halves the levels a pop's sift-down walks (the
   // pop-heavy hot path), and four 16-byte entries are exactly one cache
   // line.
+  // Position-tracked through Slot::link, so it never holds a dead record.
   std::vector<HeapEntry> heap_;
   // Sorted power-of-two ring for schedule_monotone records. Sortedness is an
   // invariant (appends below the tail key divert to the heap), so the lane
@@ -316,11 +367,9 @@ class EventQueue {
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
-  // Dead (cancelled) records still physically present per lane.
-  // Zero means dispatches can skip that lane's head-liveness probe outright —
-  // the common case for the fifo lane, whose link-arrival events are never
-  // cancelled in practice.
-  std::size_t heap_tomb_ = 0;
+  // Cancelled records still present in the fifo ring. Zero — always, on
+  // the simulator's paths, which never cancel a link arrival — lets a
+  // dispatch skip the ring's head-liveness probe outright.
   std::size_t fifo_tomb_ = 0;
 };
 

@@ -13,9 +13,9 @@ namespace tempriv::sim {
 /// Discrete-event simulation kernel: a virtual clock plus an event queue.
 ///
 /// Components schedule callbacks at absolute or relative times; run() /
-/// run_until() advance the clock from event to event. Cancellation is first
-/// class because RCAD preemption must cancel the release event of the victim
-/// packet (see core/delay_buffer.h).
+/// run_until() advance the clock from event to event. Cancellation and
+/// in-place re-keying are first class because RCAD preemption moves a delay
+/// buffer's release timer to its next packet (see core/delay_buffer.h).
 class Simulator {
  public:
   Simulator() = default;
@@ -34,14 +34,29 @@ class Simulator {
   /// allocation.
   template <class F>
   EventId schedule_at(Time at, F&& action) {
-    if (!std::isfinite(at)) {
-      throw std::invalid_argument("Simulator::schedule_at: non-finite time");
-    }
-    if (at < now_) {
-      throw std::invalid_argument(
-          "Simulator::schedule_at: cannot schedule in the past");
-    }
+    check_time(at);
     return queue_.schedule(at, std::forward<F>(action));
+  }
+
+  /// schedule_at() keyed on a sequence number drawn earlier by
+  /// reserve_seq(), so `action` runs exactly where an event scheduled at the
+  /// reserving instant would have (see EventQueue::schedule). Same checks on
+  /// `at`.
+  template <class F>
+  EventId schedule_at(Time at, std::uint64_t seq, F&& action) {
+    check_time(at);
+    return queue_.schedule(at, seq, std::forward<F>(action));
+  }
+
+  /// Draws the sequence number an event scheduled now would consume; see
+  /// EventQueue::reserve_seq.
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+
+  /// Moves pending event `id` to (at, seq) in place; see EventQueue::rekey.
+  /// Same checks on `at` as schedule_at().
+  EventId rekey(EventId id, Time at, std::uint64_t seq) {
+    check_time(at);
+    return queue_.rekey(id, at, seq);
   }
 
   /// Schedules `action` after `delay` (>= 0, finite) time units.
@@ -109,6 +124,15 @@ class Simulator {
   std::uint64_t events_executed() const noexcept { return executed_; }
 
  private:
+  void check_time(Time at) const {
+    if (!std::isfinite(at)) {
+      throw std::invalid_argument("Simulator: non-finite event time");
+    }
+    if (at < now_) {
+      throw std::invalid_argument("Simulator: cannot schedule in the past");
+    }
+  }
+
   /// The dispatch_next callable shared by run(), run_until() and step():
   /// advances the clock to the event, counts it in `count` and in
   /// events_executed(), then invokes it.

@@ -27,8 +27,9 @@ enum class Counter : std::uint32_t {
   kEqScheduleHeap,      ///< schedule() insertions into the 4-ary heap lane
   kEqScheduleFifo,      ///< schedule_monotone() appends to the FIFO ring
   kEqFifoDiverted,      ///< monotone calls below the ring tail, rerouted to the heap
-  kEqTombstoneSkipped,  ///< dead (cancelled) records swept from lane heads
+  kEqTombstoneSkipped,  ///< cancelled records swept from the FIFO ring's head
   kEqDispatchSingle,    ///< events run by dispatch_next() (pop() included)
+  kEqRekey,             ///< heap events re-keyed in place by rekey()
   // core::DelayBuffer preemption/ejection, per victim policy
   kBufPreemptShortest,  ///< preempt() under kShortestRemaining
   kBufPreemptLongest,   ///< preempt() under kLongestRemaining

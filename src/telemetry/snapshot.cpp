@@ -17,6 +17,8 @@ const char* name(Counter counter) noexcept {
       return "eq.tombstone_skipped";
     case Counter::kEqDispatchSingle:
       return "eq.dispatch_single";
+    case Counter::kEqRekey:
+      return "eq.rekey";
     case Counter::kBufPreemptShortest:
       return "buf.preempt.shortest_remaining";
     case Counter::kBufPreemptLongest:

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end CLI test for the sharded campaign pipeline:
 #
-#   1. usage errors (malformed --jobs/--reps/--seed, bad --shard) exit 2;
+#   1. usage errors (malformed --jobs/--reps/--seed, bad --shard, worker
+#      counts above the 256-worker bound) exit 2;
 #   2. a small grid run as 3 shards + tempriv-merge reproduces the serial
 #      JSONL / stats / CSV byte for byte;
 #   3. tempriv-merge --check passes a clean shard set and reports a
@@ -62,6 +63,17 @@ expect_exit 2 "zero auto shards" "$CAMPAIGN" fig2a --shard auto:0 --quiet
 expect_exit 2 "unknown sweep" "$CAMPAIGN" nosuchsweep --quiet
 expect_exit 2 "unknown option" "$CAMPAIGN" fig2a --frobnicate --quiet
 expect_exit 2 "missing value" "$CAMPAIGN" fig2a --jobs
+# Oversized worker counts are refused while parsing: no thread or process
+# starts, and no output directory appears.
+expect_exit 2 "huge --jobs" "$CAMPAIGN" fig2a --jobs 1000000 --quiet \
+  --out "$WORK/huge_jobs"
+expect_exit 2 "huge auto shards" "$CAMPAIGN" fig2a --shard auto:100000 \
+  --quiet --out "$WORK/huge_shards"
+expect_exit 2 "jobs x auto shards" "$CAMPAIGN" fig2a --jobs 64 \
+  --shard auto:8 --quiet --out "$WORK/huge_product"
+for dir in huge_jobs huge_shards huge_product; do
+  [ -e "$WORK/$dir" ] && note_failure "refused run still created $dir"
+done
 expect_exit 0 "--help" "$CAMPAIGN" --help
 if ! grep -q "wants a non-negative integer" "$WORK/err.log" 2>/dev/null; then
   "$CAMPAIGN" fig2a --jobs 4x --quiet 2>"$WORK/err.log"

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "test_context.h"
 
@@ -241,6 +247,145 @@ INSTANTIATE_TEST_SUITE_P(Policies, PreemptMatchesReference,
                            return "Unknown";
                          });
 
+// The one-timer contract, under every policy and random churn: the buffer
+// keeps exactly one pending event while it holds packets, keyed on the
+// earliest release, and packets leave in (release_time, admission) order
+// at their release times. Preempt, eject and the fused preempt+admit step
+// all move the root.
+class DelayBufferTimer : public ::testing::TestWithParam<VictimPolicy> {};
+
+TEST_P(DelayBufferTimer, OneTimerTracksEarliestReleaseAcrossChurn) {
+  TestContext ctx;
+  DelayBuffer buffer(std::make_unique<ExponentialDelay>(4.0), GetParam());
+  sim::RandomStream dice(2024);
+  // uid -> (release_time, admission index), recorded at admission.
+  std::map<std::uint64_t, std::pair<double, std::uint64_t>> admitted;
+  std::uint64_t uid = 0;
+  auto record_admission = [&](std::uint64_t id) {
+    for (const auto& held : buffer.snapshot()) {
+      if (held.packet.uid == id) {
+        admitted[id] = {held.release_time, id};
+        return;
+      }
+    }
+    FAIL() << "admitted packet " << id << " not held";
+  };
+  auto check_timer = [&] {
+    const auto held = buffer.snapshot();
+    ASSERT_EQ(held.size(), buffer.size());
+    ASSERT_EQ(ctx.simulator().pending_events(), held.empty() ? 0u : 1u);
+    if (held.empty()) return;
+    double earliest = held.front().release_time;
+    for (const auto& h : held) earliest = std::min(earliest, h.release_time);
+    ASSERT_EQ(ctx.simulator().next_event_time(), earliest);
+  };
+  std::size_t released_before = 0;
+  std::size_t natural_releases = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const double d = dice.uniform01();
+    if (d < 0.40 || buffer.size() == 0) {
+      buffer.admit(ctx.make_packet(uid), ctx);
+      record_admission(uid++);
+    } else if (d < 0.55) {
+      // The fused step transmits the reference victim, then admits.
+      const auto held = buffer.snapshot();
+      sim::RandomStream reference_rng = ctx.rng();
+      const std::uint64_t expected_victim =
+          held[select_victim(held, GetParam(), ctx.simulator().now(),
+                             reference_rng)]
+              .packet.uid;
+      const std::size_t before = ctx.transmitted().size();
+      released_before = before + 1;  // the victim is transmitted, not released
+      buffer.preempt_and_admit(ctx.make_packet(uid), ctx);
+      record_admission(uid++);
+      ASSERT_EQ(ctx.transmitted().size(), before + 1);
+      ASSERT_EQ(ctx.transmitted().back().second.uid, expected_victim);
+      admitted.erase(expected_victim);
+    } else if (d < 0.65) {
+      admitted.erase(buffer.preempt(ctx).uid);
+    } else if (d < 0.72) {
+      const std::size_t index =
+          static_cast<std::size_t>(dice.uniform_index(buffer.size()));
+      admitted.erase(buffer.eject(index, ctx).uid);
+    } else {
+      ctx.simulator().run_until(ctx.simulator().now() + dice.uniform(0.0, 2.0));
+    }
+    ASSERT_NO_FATAL_FAILURE(check_timer()) << "op " << op;
+    // This op's natural releases (a fused step's victim is skipped): each
+    // leaves at its release time, before every packet still held.
+    for (std::size_t i = released_before; i < ctx.transmitted().size(); ++i) {
+      const auto& [at, packet] = ctx.transmitted()[i];
+      const auto it = admitted.find(packet.uid);
+      ASSERT_NE(it, admitted.end()) << "uid " << packet.uid;
+      ASSERT_EQ(at, it->second.first);
+      for (const auto& [other, key] : admitted) {
+        if (other != packet.uid) {
+          ASSERT_LT(it->second, key);
+        }
+      }
+      admitted.erase(it);
+      ++natural_releases;
+    }
+    released_before = ctx.transmitted().size();
+  }
+  EXPECT_GT(natural_releases, 300u);
+  ctx.simulator().run();
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(ctx.simulator().pending_events(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, DelayBufferTimer,
+                         ::testing::Values(VictimPolicy::kShortestRemaining,
+                                           VictimPolicy::kLongestRemaining,
+                                           VictimPolicy::kRandom,
+                                           VictimPolicy::kOldest),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case VictimPolicy::kShortestRemaining:
+                               return "ShortestRemaining";
+                             case VictimPolicy::kLongestRemaining:
+                               return "LongestRemaining";
+                             case VictimPolicy::kRandom:
+                               return "Random";
+                             case VictimPolicy::kOldest:
+                               return "Oldest";
+                           }
+                           return "Unknown";
+                         });
+
+TEST(DelayBufferTimer, EqualReleasesInterleaveAcrossBuffersInAdmissionOrder) {
+  // Two buffers in one simulator admit alternately at the same instants, so
+  // all their releases tie in time. Each buffer's single timer must carry
+  // the sequence number of the packet it releases, so the releases
+  // interleave in global admission order — and an event scheduled between
+  // two admissions runs between their releases.
+  TestContext ctx;
+  DelayBuffer a(std::make_unique<ConstantDelay>(5.0));
+  DelayBuffer b(std::make_unique<ConstantDelay>(5.0));
+  // Releases already transmitted when each marker event ran.
+  std::vector<std::size_t> marker_positions;
+  auto admit_round = [&](std::uint64_t first) {
+    a.admit(ctx.make_packet(first), ctx);
+    b.admit(ctx.make_packet(first + 1), ctx);
+    ctx.simulator().schedule_after(5.0, [&] {
+      marker_positions.push_back(ctx.transmitted().size());
+    });
+    a.admit(ctx.make_packet(first + 2), ctx);
+    b.admit(ctx.make_packet(first + 3), ctx);
+  };
+  admit_round(0);
+  ctx.simulator().schedule_at(1.0, [&] { admit_round(10); });
+  ctx.simulator().run();
+  std::vector<std::uint64_t> releases;
+  for (const auto& [at, packet] : ctx.transmitted()) {
+    EXPECT_DOUBLE_EQ(at, packet.uid < 10 ? 5.0 : 6.0);
+    releases.push_back(packet.uid);
+  }
+  EXPECT_EQ(releases,
+            (std::vector<std::uint64_t>{0, 1, 2, 3, 10, 11, 12, 13}));
+  EXPECT_EQ(marker_positions, (std::vector<std::size_t>{2, 6}));
+}
+
 TEST(DelayBufferPreempt, ThrowsOnEmptyBuffer) {
   TestContext ctx;
   DelayBuffer buffer(std::make_unique<ConstantDelay>(1.0));
@@ -259,6 +404,108 @@ TEST(DelayBufferPreempt, CancelsTheVictimsRelease) {
   // Only the survivor's release fires.
   ASSERT_EQ(ctx.transmitted().size(), 1u);
   EXPECT_EQ(ctx.transmitted()[0].second.uid, 1u);
+}
+
+TEST(DelayBufferPreempt, FusedStepLeavesBufferPreemptedWhenTransmitThrows) {
+  // A transmit that throws mid-step must not leave the victim's heap hole
+  // or a stale timer behind: the buffer ends as after preempt(), without
+  // the new packet.
+  class ThrowingContext final : public net::NodeContext {
+   public:
+    sim::Simulator& simulator() noexcept override { return sim_; }
+    sim::RandomStream& rng() noexcept override { return rng_; }
+    net::NodeId id() const noexcept override { return 0; }
+    std::uint16_t hops_to_sink() const noexcept override { return 1; }
+    void transmit(net::Packet&&) override {
+      throw std::runtime_error("link down");
+    }
+
+   private:
+    sim::Simulator sim_;
+    sim::RandomStream rng_{7};
+  };
+  ThrowingContext ctx;
+  DelayBuffer buffer(std::make_unique<ExponentialDelay>(10.0));
+  for (std::uint64_t uid = 0; uid < 5; ++uid) {
+    net::Packet packet;
+    packet.uid = uid;
+    buffer.admit(std::move(packet), ctx);
+  }
+  const auto before = buffer.snapshot();
+  const std::size_t victim = select_victim(
+      before, VictimPolicy::kShortestRemaining, 0.0, ctx.rng());
+  net::Packet incoming;
+  incoming.uid = 99;
+  EXPECT_THROW(buffer.preempt_and_admit(std::move(incoming), ctx),
+               std::runtime_error);
+  const auto after = buffer.snapshot();
+  ASSERT_EQ(after.size(), 4u);
+  double earliest = after.front().release_time;
+  for (const auto& held : after) {
+    EXPECT_NE(held.packet.uid, before[victim].packet.uid);
+    EXPECT_NE(held.packet.uid, 99u);
+    earliest = std::min(earliest, held.release_time);
+  }
+  EXPECT_EQ(ctx.simulator().pending_events(), 1u);
+  EXPECT_EQ(ctx.simulator().next_event_time(), earliest);
+}
+
+// Breaks the finite, >= 0 sample contract, which DelayDistribution (an
+// open interface) only documents.
+class FixedSample final : public DelayDistribution {
+ public:
+  explicit FixedSample(double value) : value_(value) {}
+  double sample(sim::RandomStream&) const override { return value_; }
+  double mean() const noexcept override { return value_; }
+  double differential_entropy() const noexcept override { return 0.0; }
+  std::string name() const override { return "fixed"; }
+  std::unique_ptr<DelayDistribution> clone() const override {
+    return std::make_unique<FixedSample>(*this);
+  }
+
+ private:
+  double value_;
+};
+
+TEST(DelayBufferPreempt, FusedStepRejectsNegativeAndNanDelays) {
+  // A bad draw is refused by admit() and by the fused step alike. The fused
+  // step draws after the victim's transmit, so it must end as preempt()
+  // followed by a refused admit(): victim sent, new packet not held, one
+  // timer on the earliest remaining release.
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    TestContext ctx;
+    DelayBuffer buffer(std::make_unique<ExponentialDelay>(10.0));
+    for (std::uint64_t uid = 0; uid < 5; ++uid) {
+      buffer.admit(ctx.make_packet(uid), ctx);
+    }
+    const FixedSample sample(bad);
+    EXPECT_THROW(buffer.admit(ctx.make_packet(98), ctx, sample),
+                 std::invalid_argument);
+    ASSERT_EQ(buffer.size(), 5u);
+    const auto before = buffer.snapshot();
+    sim::RandomStream reference_rng = ctx.rng();
+    const std::uint64_t victim =
+        before[select_victim(before, VictimPolicy::kShortestRemaining, 0.0,
+                             reference_rng)]
+            .packet.uid;
+    EXPECT_THROW(buffer.preempt_and_admit(ctx.make_packet(99), ctx, sample),
+                 std::invalid_argument);
+    ASSERT_EQ(ctx.transmitted().size(), 1u);
+    EXPECT_EQ(ctx.transmitted()[0].second.uid, victim);
+    const auto after = buffer.snapshot();
+    ASSERT_EQ(after.size(), 4u);
+    double earliest = after.front().release_time;
+    for (const auto& held : after) {
+      EXPECT_NE(held.packet.uid, victim);
+      EXPECT_NE(held.packet.uid, 99u);
+      earliest = std::min(earliest, held.release_time);
+    }
+    EXPECT_EQ(ctx.simulator().pending_events(), 1u);
+    EXPECT_EQ(ctx.simulator().next_event_time(), earliest);
+    ctx.simulator().run();
+    EXPECT_EQ(ctx.transmitted().size(), 5u);
+    EXPECT_EQ(buffer.size(), 0u);
+  }
 }
 
 TEST(VictimPolicy, ToStringCoversAll) {

@@ -112,13 +112,9 @@ TEST(AllocGuard, HotPathClosuresFitInline) {
   std::uint64_t remaining = 0;
   // Simulator event-chain shape (pointer + countdown pointer).
   auto chain = [&sim, &remaining] { (void)sim, (void)remaining; };
-  // DelayBuffer::release shape: this + slot + uid + context reference.
+  // DelayBuffer release-timer shape: this + context reference.
   void* self = nullptr;
-  std::uint32_t slot = 0;
-  std::uint64_t uid = 0;
-  auto release = [self, slot, uid, &remaining] {
-    (void)self, (void)slot, (void)uid, (void)remaining;
-  };
+  auto release = [self, &remaining] { (void)self, (void)remaining; };
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(chain)>());
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(release)>());
   // Network link-traversal shape: network reference + destination + pooled
@@ -347,8 +343,14 @@ TEST(AllocGuard, WarmDelayBufferChurnAllocatesNothing) {
   }
   const std::size_t before = allocations();
   for (int round = 0; round < 5000; ++round) {
-    if (buffer.size() >= kCapacity) buffer.preempt(ctx);
-    buffer.admit(make_packet(uid++), ctx);
+    if (buffer.size() < kCapacity) {
+      buffer.admit(make_packet(uid++), ctx);
+    } else if (round % 2 == 0) {
+      buffer.preempt_and_admit(make_packet(uid++), ctx);
+    } else {
+      buffer.preempt(ctx);
+      buffer.admit(make_packet(uid++), ctx);
+    }
     simulator.run_until(simulator.now() + 0.2);
   }
   simulator.run();

@@ -190,6 +190,61 @@ TEST(EventQueue, StaleHandleNeverCancelsSlotReuser) {
   }
 }
 
+TEST(EventQueue, ReservedSeqSortsLikeSchedulingAtReservation) {
+  // An event scheduled on a number reserved between two schedule() calls
+  // runs between them on a time tie, wherever it is inserted.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(5.0, [&] { order.push_back(0); });
+  const std::uint64_t seq = q.reserve_seq();
+  q.schedule(5.0, [&] { order.push_back(2); });
+  q.schedule(5.0, seq, [&] { order.push_back(1); });
+  while (auto event = q.pop()) event->action();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, RekeyMovesEventInPlace) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId a = q.schedule(1.0, [&] { order.push_back(1); });
+  q.schedule(2.0, [&] { order.push_back(2); });
+  q.schedule(3.0, [&] { order.push_back(3); });
+  const std::uint64_t slot_before = q.slot_count();
+  // Later, then back earlier on a time tie: the reserved number is newer
+  // than event 2's, so it sorts after it.
+  const EventId later = q.rekey(a, 4.0, q.reserve_seq());
+  ASSERT_TRUE(later.valid());
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  const EventId tie = q.rekey(later, 2.0, q.reserve_seq());
+  ASSERT_TRUE(tie.valid());
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.slot_count(), slot_before);  // no slot traffic
+  // Handles from before each re-key are dead; the current one works.
+  EXPECT_FALSE(q.cancel(a));
+  EXPECT_FALSE(q.cancel(later));
+  while (auto event = q.pop()) event->action();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+  EXPECT_FALSE(q.cancel(tie));
+}
+
+TEST(EventQueue, RekeyRejectsFifoDeadAndInvalidHandles) {
+  EventQueue q;
+  const EventId fifo = q.schedule_monotone(1.0, [] {});
+  const EventId fired = q.schedule(0.5, [] {});
+  const EventId cancelled = q.schedule(2.0, [] {});
+  ASSERT_TRUE(q.cancel(cancelled));
+  ASSERT_EQ(q.pop()->id, fired);
+  const std::uint64_t seq = q.reserve_seq();
+  EXPECT_FALSE(q.rekey(fifo, 0.25, seq).valid());
+  EXPECT_FALSE(q.rekey(fired, 0.25, seq).valid());
+  EXPECT_FALSE(q.rekey(cancelled, 0.25, seq).valid());
+  EXPECT_FALSE(q.rekey(EventId{}, 0.25, seq).valid());
+  // Nothing moved: the fifo event is still the only one, at its time.
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  EXPECT_TRUE(q.cancel(fifo));
+}
+
 TEST(EventQueue, EventIdsAreUnique) {
   EventQueue q;
   const EventId a = q.schedule(1.0, [] {});

@@ -46,6 +46,21 @@ TEST(Simulator, SchedulingInThePastThrows) {
   EXPECT_THROW(sim.schedule_at(4.0, [] {}), std::invalid_argument);
 }
 
+TEST(Simulator, RekeyAndReservedScheduleRejectBadTimes) {
+  Simulator sim;
+  sim.schedule_at(2.0, [] {});
+  ASSERT_TRUE(sim.step());
+  const EventId id = sim.schedule_at(5.0, [] {});
+  const std::uint64_t seq = sim.reserve_seq();
+  EXPECT_THROW(sim.rekey(id, 1.0, seq), std::invalid_argument);
+  EXPECT_THROW(sim.rekey(id, std::nan(""), seq), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_at(1.0, seq, [] {}), std::invalid_argument);
+  // The failed calls changed nothing.
+  EXPECT_DOUBLE_EQ(sim.next_event_time(), 5.0);
+  EXPECT_TRUE(sim.rekey(id, 3.0, seq).valid());
+  EXPECT_DOUBLE_EQ(sim.next_event_time(), 3.0);
+}
+
 TEST(Simulator, SchedulingAtCurrentTimeIsAllowed) {
   Simulator sim;
   bool nested_ran = false;

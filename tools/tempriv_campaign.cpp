@@ -55,13 +55,15 @@ int usage(std::ostream& os, int code) {
         "        adversary), buffer (buffer-size ablation)\n"
         "\n"
         "options:\n"
-        "  --jobs N             worker threads (default: hardware concurrency)\n"
+        "  --jobs N             worker threads (default: hardware concurrency;\n"
+        "                       at most 256)\n"
         "  --reps R             replications per scenario point (default 1)\n"
         "  --seed S             base seed for every point (default: paper seed)\n"
         "  --shard i/N          run only shard i of N (jobs with index % N == i)\n"
         "                       and write shard artifacts for tempriv-merge\n"
         "  --shard auto:N       fork N local shard processes, aggregate their\n"
         "                       progress, and auto-merge when all succeed\n"
+        "                       (N and --jobs x N at most 256)\n"
         "  --jsonl PATH         write the per-job JSONL result log here\n"
         "                       (default: <results-dir>/<tag>.jsonl, or the\n"
         "                       shard-stamped stem under --shard i/N)\n"
@@ -176,6 +178,11 @@ std::vector<workload::Scheme> parse_schemes(const std::string& text) {
 
 enum class ShardMode { kSerial, kSingle, kAuto };
 
+/// Most worker threads, counted over every process, that one invocation may
+/// start: --jobs, --shard auto:N and their product are checked against it
+/// while parsing, so an oversized request fails before anything starts.
+constexpr std::uint64_t kMaxWorkers = 256;
+
 struct Options {
   std::string sweep_name;
   std::size_t jobs = 0;  // 0 = hardware concurrency
@@ -197,6 +204,12 @@ void parse_shard_arg(Options& opt, const std::string& text) {
     opt.fleet_shards = parse_u32_arg("--shard auto:", text.substr(5));
     if (opt.fleet_shards == 0) {
       throw UsageError("--shard auto:N wants N >= 1, got '" + text + "'");
+    }
+    if (opt.fleet_shards > kMaxWorkers) {
+      std::ostringstream msg;
+      msg << "--shard auto:N starts N processes; N must be <= " << kMaxWorkers
+          << ", got '" << text << "'";
+      throw UsageError(msg.str());
     }
     opt.mode = ShardMode::kAuto;
     return;
@@ -222,7 +235,14 @@ Options parse_options(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs") {
-      opt.jobs = static_cast<std::size_t>(parse_u64_arg(arg, value()));
+      const std::string text = value();
+      const std::uint64_t jobs = parse_u64_arg(arg, text);
+      if (jobs > kMaxWorkers) {
+        std::ostringstream msg;
+        msg << "--jobs must be <= " << kMaxWorkers << ", got '" << text << "'";
+        throw UsageError(msg.str());
+      }
+      opt.jobs = static_cast<std::size_t>(jobs);
     } else if (arg == "--reps") {
       opt.reps = parse_u32_arg(arg, value());
       if (opt.reps == 0) throw UsageError("--reps must be >= 1");
@@ -260,6 +280,13 @@ Options parse_options(int argc, char** argv) {
     } else {
       throw UsageError("unknown option: " + arg);
     }
+  }
+  if (opt.mode == ShardMode::kAuto &&
+      opt.jobs * opt.fleet_shards > kMaxWorkers) {
+    std::ostringstream msg;
+    msg << "--jobs " << opt.jobs << " x --shard auto:" << opt.fleet_shards
+        << " exceeds " << kMaxWorkers << " worker threads";
+    throw UsageError(msg.str());
   }
   return opt;
 }

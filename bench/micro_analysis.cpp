@@ -11,7 +11,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "adversary/estimator.h"
@@ -42,6 +44,32 @@ LeakagePairs leakage_pairs(std::size_t n, std::uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i) {
     p.xs[i] = rng.uniform(0.0, 100.0);
     p.zs[i] = p.xs[i] + rng.exponential_mean(30.0);
+  }
+  return p;
+}
+
+// Per-flow pairs in the order Adversary::estimates_for_flow yields them: a
+// periodic source (one packet every 2 time units) whose packets each take
+// an Exp(30) delay, listed in sink arrival order. z is therefore sorted and
+// x nearly so — the input every scored longrun_leakage flow hands KSG.
+LeakagePairs arrival_ordered_pairs(std::size_t n, std::uint64_t seed) {
+  sim::RandomStream rng(seed);
+  std::vector<double> creation(n);
+  std::vector<double> arrival(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    creation[i] = 2.0 * static_cast<double>(i);
+    arrival[i] = creation[i] + rng.exponential_mean(30.0);
+  }
+  std::vector<std::size_t> by_arrival(n);
+  std::iota(by_arrival.begin(), by_arrival.end(), std::size_t{0});
+  std::sort(by_arrival.begin(), by_arrival.end(),
+            [&](std::size_t a, std::size_t b) {
+              return arrival[a] < arrival[b];
+            });
+  LeakagePairs p;
+  for (const std::size_t i : by_arrival) {
+    p.xs.push_back(creation[i]);
+    p.zs.push_back(arrival[i]);
   }
   return p;
 }
@@ -78,19 +106,48 @@ BENCHMARK(BM_MutualInformationKsgBrute)->Arg(1000)
 // Thread-pool fan-out of the same estimator (bit-identical by contract).
 // On multi-core hosts this shows the extra headroom; on one core it prices
 // the dispatch overhead.
-void BM_ParallelMutualInformationKsg(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const LeakagePairs p = leakage_pairs(n, 101);
+void run_parallel_ksg(benchmark::State& state, const LeakagePairs& p,
+                      unsigned k) {
   campaign::ThreadPool pool(campaign::ThreadPool::resolve_threads(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        campaign::parallel_mutual_information_ksg(pool, p.xs, p.zs, 4));
+        campaign::parallel_mutual_information_ksg(pool, p.xs, p.zs, k));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(p.xs.size()));
+}
+
+void BM_ParallelMutualInformationKsg(benchmark::State& state) {
+  run_parallel_ksg(state,
+                   leakage_pairs(static_cast<std::size_t>(state.range(0)), 101),
+                   4);
+}
+BENCHMARK(BM_ParallelMutualInformationKsg)->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+
+// The same fan-out on one longrun_leakage-shaped flow at its default k.
+void BM_ParallelMutualInformationKsgArrivalOrdered(benchmark::State& state) {
+  run_parallel_ksg(
+      state,
+      arrival_ordered_pairs(static_cast<std::size_t>(state.range(0)), 107), 3);
+}
+BENCHMARK(BM_ParallelMutualInformationKsgArrivalOrdered)->Arg(30000)
+    ->Unit(benchmark::kMillisecond);
+
+// KsgWorkspace::prepare alone — validation plus the x and z orders — on the
+// same flow: the serial part every parallel KSG call pays before fanning out.
+void BM_KsgPrepare(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const LeakagePairs p = arrival_ordered_pairs(n, 107);
+  infotheory::KsgWorkspace workspace;
+  for (auto _ : state) {
+    workspace.prepare(p.xs, p.zs, 3);
+    benchmark::DoNotOptimize(workspace.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_ParallelMutualInformationKsg)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KsgPrepare)->Arg(30000)->Unit(benchmark::kMicrosecond);
 
 void BM_EntropyKnn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

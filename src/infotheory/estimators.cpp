@@ -1,8 +1,11 @@
 #include "infotheory/estimators.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -14,12 +17,30 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Every public estimator calls this before sorting or binning: NaN breaks
+/// the strict weak order a sort relies on, and NaN or ±inf would reach the
+/// double → size_t cast of the histogram binning.
+void require_finite(std::span<const double> samples, const char* who) {
+  if (!std::all_of(samples.begin(), samples.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    throw std::invalid_argument(std::string(who) + ": non-finite sample");
+  }
+}
+
+/// Rejects inputs whose positions do not fit the 32-bit index permutations.
+void require_indexable(std::size_t n, const char* who) {
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(std::string(who) + ": too many samples");
+  }
+}
+
 struct Range {
   double lo;
   double hi;
 };
 
 Range sample_range(std::span<const double> samples, const char* who) {
+  require_finite(samples, who);
   if (samples.size() < 2) {
     throw std::invalid_argument(std::string(who) + ": needs >= 2 samples");
   }
@@ -47,6 +68,70 @@ struct BinScale {
     return std::min(idx, last);  // put the max sample in the last bin
   }
 };
+
+/// Order-preserving unsigned image of a non-NaN double: unsigned
+/// comparison of the images agrees with < on the values. −0.0 is folded
+/// onto +0.0 first, so the two zeros — equal under == — share one key.
+std::uint64_t order_key(double v) {
+  if (v == 0.0) v = 0.0;
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const std::uint64_t flip =
+      (bits >> 63) != 0 ? ~std::uint64_t{0} : std::uint64_t{1} << 63;
+  return bits ^ flip;
+}
+
+constexpr unsigned kRadixBits = 11;
+constexpr std::size_t kRadix = std::size_t{1} << kRadixBits;
+constexpr unsigned kRadixPasses = (64 + kRadixBits - 1) / kRadixBits;
+
+/// Writes to `order` the permutation that sorts `values` by (value,
+/// original index): the order std::sort gives with the comparator
+/// `values[a] != values[b] ? values[a] < values[b] : a < b`, so −0.0 and
+/// +0.0 tie and keep their index order. The one order helper of the KSG
+/// and ranked estimators; both validate first, so `values` is NaN-free and
+/// indexes into uint32. Input already in order — sink-side arrival times
+/// always are — is recognised in one O(n) pass and yields the identity.
+/// Otherwise a stable LSD radix sort of the indices on order_key(value),
+/// kRadixBits per pass, ping-pongs between `order` and `scratch` and skips
+/// every pass whose digit is the same for all samples; stability is what
+/// makes the original index the tie-break.
+void radix_order(std::span<const double> values,
+                 std::vector<std::uint32_t>& order,
+                 std::vector<std::uint32_t>& scratch) {
+  const std::size_t n = values.size();
+  order.resize(n);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  if (std::is_sorted(values.begin(), values.end())) return;
+
+  std::array<std::array<std::uint32_t, kRadix>, kRadixPasses> counts{};
+  for (double v : values) {
+    const std::uint64_t key = order_key(v);
+    for (unsigned pass = 0; pass < kRadixPasses; ++pass) {
+      ++counts[pass][(key >> (pass * kRadixBits)) & (kRadix - 1)];
+    }
+  }
+  scratch.resize(n);
+  std::uint32_t* src = order.data();
+  std::uint32_t* dst = scratch.data();
+  const std::uint64_t first_key = order_key(values[0]);
+  for (unsigned pass = 0; pass < kRadixPasses; ++pass) {
+    const unsigned shift = pass * kRadixBits;
+    std::array<std::uint32_t, kRadix>& bucket = counts[pass];
+    if (bucket[(first_key >> shift) & (kRadix - 1)] == n) continue;
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : bucket) {
+      const std::uint32_t count = c;
+      c = offset;
+      offset += count;
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::uint32_t i = src[r];
+      dst[bucket[(order_key(values[i]) >> shift) & (kRadix - 1)]++] = i;
+    }
+    std::swap(src, dst);
+  }
+  if (src != order.data()) std::copy(src, src + n, order.data());
+}
 
 }  // namespace
 
@@ -79,6 +164,7 @@ double entropy_knn(std::span<const double> samples, unsigned k,
   if (samples.size() <= k) {
     throw std::invalid_argument("entropy_knn: needs more samples than k");
   }
+  require_finite(samples, "entropy_knn");
   std::vector<double>& sorted = scratch.values;
   sorted.assign(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
@@ -159,17 +245,12 @@ double mutual_information_histogram(std::span<const double> xs,
 
 namespace {
 
-void normalized_ranks(std::span<const double> xs, std::vector<std::size_t>& order,
+void normalized_ranks(std::span<const double> xs, AnalysisScratch& scratch,
                       std::vector<double>& ranks) {
-  order.resize(xs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&xs](std::size_t a, std::size_t b) {
-    if (xs[a] != xs[b]) return xs[a] < xs[b];
-    return a < b;  // deterministic tie-break
-  });
+  radix_order(xs, scratch.order, scratch.order_scratch);
   ranks.resize(xs.size());
-  for (std::size_t r = 0; r < order.size(); ++r) {
-    ranks[order[r]] =
+  for (std::size_t r = 0; r < xs.size(); ++r) {
+    ranks[scratch.order[r]] =
         static_cast<double>(r) / static_cast<double>(xs.size());
   }
 }
@@ -182,8 +263,11 @@ double mutual_information_ranked(std::span<const double> xs,
   if (xs.size() != zs.size()) {
     throw std::invalid_argument("mutual_information_ranked: size mismatch");
   }
-  normalized_ranks(xs, scratch.order, scratch.ranks_x);
-  normalized_ranks(zs, scratch.order, scratch.ranks_z);
+  require_finite(xs, "mutual_information_ranked");
+  require_finite(zs, "mutual_information_ranked");
+  require_indexable(xs.size(), "mutual_information_ranked");
+  normalized_ranks(xs, scratch, scratch.ranks_x);
+  normalized_ranks(zs, scratch, scratch.ranks_z);
   return mutual_information_histogram(scratch.ranks_x, scratch.ranks_z, bins,
                                       scratch);
 }
@@ -206,40 +290,33 @@ void KsgWorkspace::prepare(std::span<const double> xs,
     throw std::invalid_argument(
         "mutual_information_ksg: needs more samples than k");
   }
-  if (n > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument("mutual_information_ksg: too many samples");
-  }
+  require_indexable(n, "mutual_information_ksg");
+  require_finite(xs, "mutual_information_ksg");
+  require_finite(zs, "mutual_information_ksg");
   n_ = n;
   k_ = k;
 
-  // x-sorted order with original-index tie-break: pos_in_x_ is the inverse
-  // permutation, so point i's own slot (not a duplicate's) is skipped in
-  // the k-NN sweep — the exact j != i rule of the brute-force reference.
-  static thread_local std::vector<std::uint32_t> order;
-  order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(),
-            [&xs](std::uint32_t a, std::uint32_t b) {
-              if (xs[a] != xs[b]) return xs[a] < xs[b];
-              return a < b;
-            });
+  // x order with original-index tie-break: orig_by_x_ gives each sweep
+  // position its point, so point i's own slot (not a duplicate's) is
+  // skipped in the k-NN sweep — the exact j != i rule of the brute-force
+  // reference. pos_in_z_ is not filled until the z pass, so it serves as
+  // the radix sort's ping-pong buffer meanwhile.
+  radix_order(xs, orig_by_x_, pos_in_z_);
   x_by_x_.resize(n);
   z_by_x_.resize(n);
-  orig_by_x_.assign(order.begin(), order.end());
   for (std::size_t p = 0; p < n; ++p) {
-    const std::uint32_t i = order[p];
+    const std::uint32_t i = orig_by_x_[p];
     x_by_x_[p] = xs[i];
     z_by_x_[p] = zs[i];
   }
-  // z-sorted order, again with index tie-break, so every point knows its
-  // own anchor in the z array without a per-point lower_bound.
-  std::sort(order.begin(), order.end(),
-            [&zs](std::uint32_t a, std::uint32_t b) {
-              if (zs[a] != zs[b]) return zs[a] < zs[b];
-              return a < b;
-            });
+  // z order, again with index tie-break, so every point knows its own
+  // anchor in the z array without a per-point lower_bound. The permutation
+  // is needed only to fill z_sorted_ and its inverse, so it lives for this
+  // call alone.
+  std::vector<std::uint32_t> order;
+  radix_order(zs, order, pos_in_z_);
   z_sorted_.resize(n);
-  pos_in_z_.resize(n);
+  pos_in_z_.resize(n);  // the sorted fast path leaves scratch untouched
   for (std::size_t p = 0; p < n; ++p) {
     const std::uint32_t i = order[p];
     z_sorted_[p] = zs[i];
@@ -250,13 +327,16 @@ void KsgWorkspace::prepare(std::span<const double> xs,
 namespace {
 
 /// Number of entries v of sorted[lo_bound..hi_bound] with |v − center| <
-/// eps, found by binary-searching the predicate boundary outward from
-/// `anchor` (an index in range where the predicate holds; the satisfying
-/// run must lie within the given bounds). The predicate is evaluated
-/// exactly as the brute-force reference evaluates it — fabs of the rounded
-/// difference — so the count matches it bit-for-bit; searching on
-/// center ± eps instead could disagree by one at the boundary through a
-/// different rounding.
+/// eps. `anchor` is an index in range where the predicate holds, and the
+/// satisfying run must lie within the given bounds. The predicate is
+/// monotone on each side of the anchor, so each boundary is found by
+/// galloping outward (steps 1, 2, 4, … from the last index inside) and
+/// then binary-searching the final step: O(log count) probes rather than
+/// O(log n), with exactly the boundaries a plain binary search finds. The
+/// predicate is evaluated exactly as the brute-force reference evaluates
+/// it — fabs of the rounded difference — so the count matches it
+/// bit-for-bit; searching on center ± eps instead could disagree by one at
+/// the boundary through a different rounding.
 std::size_t count_strictly_within(const std::vector<double>& sorted,
                                   std::size_t lo_bound, std::size_t anchor,
                                   std::size_t hi_bound, double center,
@@ -264,9 +344,18 @@ std::size_t count_strictly_within(const std::vector<double>& sorted,
   const auto inside = [&](std::size_t m) {
     return std::fabs(sorted[m] - center) < eps;
   };
+  // Leftmost index inside: hi is always inside, lo the lowest candidate.
   std::size_t lo = lo_bound;
   std::size_t hi = anchor;
-  while (lo < hi) {  // leftmost index satisfying the predicate
+  for (std::size_t step = 1; hi > lo_bound; step *= 2) {
+    const std::size_t probe = hi - lo_bound > step ? hi - step : lo_bound;
+    if (!inside(probe)) {
+      lo = probe + 1;
+      break;
+    }
+    hi = probe;
+  }
+  while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (inside(mid)) {
       hi = mid;
@@ -275,9 +364,18 @@ std::size_t count_strictly_within(const std::vector<double>& sorted,
     }
   }
   const std::size_t first = lo;
+  // Rightmost index inside: lo is always inside, hi the highest candidate.
   lo = anchor;
   hi = hi_bound;
-  while (lo < hi) {  // rightmost index satisfying the predicate
+  for (std::size_t step = 1; lo < hi_bound; step *= 2) {
+    const std::size_t probe = hi_bound - lo > step ? lo + step : hi_bound;
+    if (!inside(probe)) {
+      hi = probe - 1;
+      break;
+    }
+    lo = probe;
+  }
+  while (lo < hi) {
     const std::size_t mid = lo + (hi - lo + 1) / 2;
     if (inside(mid)) {
       lo = mid;
@@ -395,6 +493,8 @@ double leakage_from_delays(std::span<const double> creation_times,
   if (creation_times.size() != delays.size()) {
     throw std::invalid_argument("leakage_from_delays: size mismatch");
   }
+  require_finite(creation_times, "leakage_from_delays");
+  require_finite(delays, "leakage_from_delays");
   std::vector<double>& arrivals = scratch.values;
   arrivals.resize(creation_times.size());
   for (std::size_t i = 0; i < arrivals.size(); ++i) {

@@ -14,6 +14,9 @@ namespace tempriv::infotheory {
 /// sort-based fast paths are verified bit-identical against retained
 /// brute-force references (infotheory/reference.h) by property tests that
 /// include exact-duplicate samples and tied max-norm distances.
+///
+/// Every estimator rejects a NaN or ±inf sample with std::invalid_argument
+/// naming the function, before any sort or binning touches it.
 
 struct AnalysisScratch;
 
@@ -52,7 +55,8 @@ double mutual_information_histogram(std::span<const double> xs,
 /// this estimates the same I(X;Z) while being immune to heavy tails that
 /// defeat equal-width binning (e.g. Pareto privacy delays, where a single
 /// extreme arrival stretches the histogram range until everything falls
-/// into one bin). Ties are broken by sample order.
+/// into one bin). Ties are broken by sample order. Requires at most 2³²−1
+/// samples.
 double mutual_information_ranked(std::span<const double> xs,
                                  std::span<const double> zs, std::size_t bins);
 double mutual_information_ranked(std::span<const double> xs,
@@ -61,15 +65,21 @@ double mutual_information_ranked(std::span<const double> xs,
 
 /// Precomputed sort context for the KSG estimator: x-sorted point order
 /// (ties broken by original index), z values carried along, and a z-sorted
-/// copy for marginal range counting. Splitting preparation from per-point
-/// evaluation lets sweep loops reuse the buffers and lets the per-point
-/// loop — embarrassingly parallel — be fanned out across threads
-/// (campaign::parallel_mutual_information_ksg) with a deterministic
-/// in-order reduction.
+/// copy for marginal range counting. Both orders come from the helper the
+/// ranked estimator uses too: a stable LSD radix sort of 32-bit indices on
+/// the order-preserving 64-bit image of each value (−0.0 folded onto
+/// +0.0), which returns the identity after one O(n) pass when the input is
+/// already in order, as sink-side arrival times always are. Splitting
+/// preparation from per-point evaluation lets sweep loops reuse the
+/// buffers and lets the per-point loop — embarrassingly parallel — be
+/// fanned out across threads (campaign::parallel_mutual_information_ksg)
+/// with a deterministic in-order reduction.
 class KsgWorkspace {
  public:
   /// Validates and sorts. Throws std::invalid_argument on size mismatch,
-  /// k == 0, or n <= k. Buffers are reused across calls.
+  /// k == 0, n <= k, more than 2³²−1 samples, or a NaN or ±inf sample.
+  /// Buffers are reused across calls; the radix sort ping-pongs through
+  /// the workspace's own index arrays plus one per-call permutation.
   void prepare(std::span<const double> xs, std::span<const double> zs,
                unsigned k);
 
@@ -107,11 +117,13 @@ class KsgWorkspace {
 ///   Î = ψ(k) + ψ(N) − ⟨ψ(n_x+1) + ψ(n_z+1)⟩
 /// where n_x (n_z) counts samples strictly within the k-th-neighbor joint
 /// distance along each marginal. Nearly unbiased at small sample sizes
-/// where histogram estimators are badly biased. Sort-based joint k-NN
-/// (bounded window sweep over the x-order) plus binary-search marginal
-/// counting: O(N (k + log N)) for continuous samples, degrading toward
-/// O(N²) only when nearly all x values coincide. Bit-identical to the
-/// retained O(N²) reference. Requires N > k >= 1.
+/// where histogram estimators are badly biased. Radix-sorted x and z
+/// orders (KsgWorkspace), a bounded window sweep over the x-order for the
+/// joint k-NN, and marginal counts that gallop outward from each point's
+/// own slot: O(N (k + log n_z)) after an O(N) sort for continuous samples,
+/// degrading toward O(N²) only when nearly all x values coincide.
+/// Bit-identical to the retained O(N²) reference. Requires N > k >= 1 and
+/// finite samples.
 double mutual_information_ksg(std::span<const double> xs,
                               std::span<const double> zs, unsigned k = 3);
 double mutual_information_ksg(std::span<const double> xs,
@@ -137,7 +149,8 @@ struct AnalysisScratch {
   std::vector<double> values;      ///< sorted copies / derived series
   std::vector<double> ranks_x;
   std::vector<double> ranks_z;
-  std::vector<std::size_t> order;
+  std::vector<std::uint32_t> order;          ///< rank permutation
+  std::vector<std::uint32_t> order_scratch;  ///< its radix ping-pong buffer
   std::vector<std::uint64_t> counts;
   std::vector<std::uint64_t> joint;
   std::vector<std::uint64_t> marginal_x;

@@ -4,11 +4,23 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "infotheory/entropy.h"
 
 namespace tempriv::infotheory::reference {
+
+namespace {
+
+void require_finite(std::span<const double> samples, const char* who) {
+  if (!std::all_of(samples.begin(), samples.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    throw std::invalid_argument(std::string(who) + ": non-finite sample");
+  }
+}
+
+}  // namespace
 
 double mutual_information_ksg_brute(std::span<const double> xs,
                                     std::span<const double> zs, unsigned k) {
@@ -21,6 +33,8 @@ double mutual_information_ksg_brute(std::span<const double> xs,
     throw std::invalid_argument(
         "mutual_information_ksg: needs more samples than k");
   }
+  require_finite(xs, "mutual_information_ksg");
+  require_finite(zs, "mutual_information_ksg");
 
   double psi_sum = 0.0;
   std::vector<double> kth(k);  // k smallest joint distances for point i
@@ -63,6 +77,7 @@ double entropy_knn_brute(std::span<const double> samples, unsigned k) {
   if (samples.size() <= k) {
     throw std::invalid_argument("entropy_knn: needs more samples than k");
   }
+  require_finite(samples, "entropy_knn");
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
   const std::size_t n = sorted.size();

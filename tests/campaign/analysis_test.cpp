@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "campaign/analysis.h"
 #include "campaign/thread_pool.h"
 #include "infotheory/estimators.h"
 #include "infotheory/reference.h"
+#include "../infotheory/order_corpora.h"
 #include "sim/random.h"
 
 namespace tempriv::campaign {
@@ -90,6 +92,29 @@ TEST(ParallelKsg, ValidatesLikeSerial) {
                std::invalid_argument);
   EXPECT_THROW(parallel_mutual_information_ksg(pool, xs, xs, 3),
                std::invalid_argument);
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> poisoned{1.0, 2.0, v, 4.0};
+    const std::vector<double> clean{1.0, 2.0, 3.0, 4.0};
+    EXPECT_THROW(parallel_mutual_information_ksg(pool, poisoned, clean, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(parallel_mutual_information_ksg(pool, clean, poisoned, 1),
+                 std::invalid_argument);
+  }
+}
+
+TEST(ParallelKsg, BitIdenticalToBruteForceOnOrderCorpora) {
+  ThreadPool pool(3);
+  for (const infotheory::testing::OrderCorpus& c :
+       infotheory::testing::order_corpora(7005, 700)) {
+    const double brute =
+        infotheory::reference::mutual_information_ksg_brute(c.xs, c.zs, 3);
+    EXPECT_EQ(infotheory::mutual_information_ksg(c.xs, c.zs, 3), brute)
+        << c.kind;
+    EXPECT_EQ(parallel_mutual_information_ksg(pool, c.xs, c.zs, 3), brute)
+        << c.kind;
+  }
 }
 
 }  // namespace

@@ -10,11 +10,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "infotheory/entropy.h"
 #include "infotheory/estimators.h"
 #include "infotheory/reference.h"
+#include "order_corpora.h"
 #include "sim/random.h"
 
 namespace tempriv::infotheory {
@@ -193,6 +196,90 @@ TEST(KsgProperty, ValidationMatchesReference) {
                std::invalid_argument);
   EXPECT_THROW(reference::entropy_knn_brute(xs, 0), std::invalid_argument);
   EXPECT_THROW(reference::entropy_knn_brute(xs, 3), std::invalid_argument);
+
+  // A NaN or ±inf in either marginal is rejected by both paths alike.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> poisoned{1.0, v, 3.0, 4.0};
+    const std::vector<double> clean{1.0, 2.0, 3.0, 4.0};
+    EXPECT_THROW(mutual_information_ksg(poisoned, clean, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(mutual_information_ksg(clean, poisoned, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(reference::mutual_information_ksg_brute(poisoned, clean, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(reference::mutual_information_ksg_brute(clean, poisoned, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(entropy_knn(poisoned, 1), std::invalid_argument);
+    EXPECT_THROW(reference::entropy_knn_brute(poisoned, 1),
+                 std::invalid_argument);
+  }
+}
+
+TEST(KsgProperty, BitIdenticalToBruteForceOnOrderCorpora) {
+  AnalysisScratch scratch;
+  for (const std::uint64_t seed : {5011u, 5012u}) {
+    for (const testing::OrderCorpus& c : testing::order_corpora(seed, 300)) {
+      for (const unsigned k : {1u, 3u, 16u}) {
+        const double brute =
+            reference::mutual_information_ksg_brute(c.xs, c.zs, k);
+        ASSERT_EQ(mutual_information_ksg(c.xs, c.zs, k, scratch), brute)
+            << c.kind << ", seed " << seed << ", k=" << k;
+        // The same corpus with the roles of the marginals swapped sends
+        // the sorted (or nearly sorted) side through the other order.
+        ASSERT_EQ(mutual_information_ksg(c.zs, c.xs, k, scratch),
+                  reference::mutual_information_ksg_brute(c.zs, c.xs, k))
+            << c.kind << " (swapped), seed " << seed << ", k=" << k;
+      }
+    }
+  }
+}
+
+// The ranked estimator leaves its last permutation (the z order) in
+// scratch.order and each marginal's ranks in scratch.ranks_x/ranks_z; r / n
+// at the original index of the r-th point pins the whole x permutation.
+// Together they assert that the radix order is, permutation for
+// permutation, the (value, original index) comparison sort it replaced.
+void expect_comparator_orders(std::span<const double> xs,
+                              std::span<const double> zs, const char* kind,
+                              AnalysisScratch& scratch) {
+  const double mi = mutual_information_ranked(xs, zs, 12, scratch);
+  const std::vector<double> ranks_x = testing::comparator_ranks(xs);
+  const std::vector<double> ranks_z = testing::comparator_ranks(zs);
+  ASSERT_EQ(scratch.order, testing::comparator_order(zs))
+      << kind << ", n=" << xs.size();
+  ASSERT_EQ(scratch.ranks_x, ranks_x) << kind << ", n=" << xs.size();
+  ASSERT_EQ(scratch.ranks_z, ranks_z) << kind << ", n=" << xs.size();
+  ASSERT_EQ(mi, mutual_information_histogram(ranks_x, ranks_z, 12))
+      << kind << ", n=" << xs.size();
+}
+
+TEST(RankedProperty, OrdersMatchComparatorSortOnOrderCorpora) {
+  AnalysisScratch scratch;
+  for (const std::uint64_t seed : {5021u, 5022u, 5023u}) {
+    for (const std::size_t n : {std::size_t{2}, std::size_t{37},
+                                std::size_t{1000}, std::size_t{5000}}) {
+      for (const testing::OrderCorpus& c : testing::order_corpora(seed, n)) {
+        expect_comparator_orders(c.xs, c.zs, c.kind, scratch);
+        expect_comparator_orders(c.zs, c.xs, c.kind, scratch);
+      }
+    }
+  }
+}
+
+TEST(RankedProperty, SignedZerosTieInIndexOrder) {
+  const std::vector<std::vector<double>> cases{
+      {0.0, -0.0, 0.0, -0.0},         // in order under <: the identity
+      {1.0, -0.0, 0.0, -0.0, -1.0},   // radix path: zeros tie by index
+      {3.0, 3.0, 3.0, 2.0, 3.0, 3.0},
+      {-1e308, 4.9e-324, -0.0, 1e308, -4.9e-324, 0.0},
+  };
+  AnalysisScratch scratch;
+  for (const std::vector<double>& values : cases) {
+    std::vector<double> reversed(values.rbegin(), values.rend());
+    expect_comparator_orders(values, reversed, "hand-made", scratch);
+  }
 }
 
 }  // namespace

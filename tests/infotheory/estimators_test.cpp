@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "infotheory/entropy.h"
@@ -28,6 +30,27 @@ std::vector<double> uniform_samples(double lo, double hi, std::size_t n,
   return xs;
 }
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// `call` must throw std::invalid_argument whose message names `who`.
+template <typename Call>
+void expect_rejected_by(const std::string& who, Call&& call) {
+  try {
+    call();
+    ADD_FAILURE() << who << " accepted a non-finite sample";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(who), std::string::npos) << e.what();
+  }
+}
+
+/// 40 well-spread samples with `poison` written at position `at`.
+std::vector<double> poisoned(double poison, std::size_t at) {
+  std::vector<double> xs = uniform_samples(0.0, 10.0, 40, 99);
+  xs[at] = poison;
+  return xs;
+}
+
 TEST(EntropyHistogram, RecoversUniformEntropy) {
   const auto xs = uniform_samples(0.0, 8.0, 50000, 1);
   EXPECT_NEAR(entropy_histogram(xs, 64), std::log(8.0), 0.05);
@@ -48,6 +71,13 @@ TEST(EntropyHistogram, ValidatesInput) {
                std::invalid_argument);  // zero spread
   EXPECT_THROW(entropy_histogram(std::vector<double>{1.0, 2.0}, 0),
                std::invalid_argument);
+}
+
+TEST(EntropyHistogram, RejectsNonFiniteSamples) {
+  expect_rejected_by("entropy_histogram",
+                     [] { entropy_histogram(poisoned(kNaN, 3), 8); });
+  expect_rejected_by("entropy_histogram",
+                     [] { entropy_histogram(poisoned(kInf, 39), 8); });
 }
 
 TEST(EntropyKnn, RecoversUniformEntropy) {
@@ -75,6 +105,11 @@ TEST(EntropyKnn, ValidatesInput) {
                std::invalid_argument);
 }
 
+TEST(EntropyKnn, RejectsNonFiniteSamples) {
+  expect_rejected_by("entropy_knn", [] { entropy_knn(poisoned(kNaN, 0), 3); });
+  expect_rejected_by("entropy_knn", [] { entropy_knn(poisoned(-kInf, 7), 3); });
+}
+
 TEST(MutualInformationHistogram, NearZeroForIndependentVariables) {
   const auto xs = uniform_samples(0.0, 1.0, 50000, 6);
   const auto zs = uniform_samples(0.0, 1.0, 50000, 7);
@@ -96,6 +131,16 @@ TEST(MutualInformationHistogram, ValidatesInput) {
   EXPECT_THROW(mutual_information_histogram(xs, short_z, 8),
                std::invalid_argument);
   EXPECT_THROW(mutual_information_histogram(xs, xs, 0), std::invalid_argument);
+}
+
+TEST(MutualInformationHistogram, RejectsNonFiniteSamples) {
+  const std::vector<double> clean = uniform_samples(0.0, 1.0, 40, 98);
+  expect_rejected_by("mutual_information_histogram", [&] {
+    mutual_information_histogram(poisoned(kNaN, 5), clean, 8);
+  });
+  expect_rejected_by("mutual_information_histogram", [&] {
+    mutual_information_histogram(clean, poisoned(kInf, 5), 8);
+  });
 }
 
 TEST(MutualInformationRanked, AgreesWithDirectEstimateOnLightTails) {
@@ -145,6 +190,16 @@ TEST(MutualInformationRanked, HandlesTiesDeterministically) {
   const double b = mutual_information_ranked(xs, zs, 16);
   EXPECT_DOUBLE_EQ(a, b);
   EXPECT_GT(a, 2.0);
+}
+
+TEST(MutualInformationRanked, RejectsNonFiniteSamples) {
+  const std::vector<double> clean = uniform_samples(0.0, 1.0, 40, 97);
+  expect_rejected_by("mutual_information_ranked", [&] {
+    mutual_information_ranked(clean, poisoned(kNaN, 11), 8);
+  });
+  expect_rejected_by("mutual_information_ranked", [&] {
+    mutual_information_ranked(poisoned(kInf, 11), clean, 8);
+  });
 }
 
 TEST(LeakageFromDelays, BiggerDelaysLeakLess) {
@@ -234,6 +289,26 @@ TEST(MutualInformationKsg, ValidatesInput) {
   EXPECT_THROW(mutual_information_ksg(xs, bad, 1), std::invalid_argument);
   EXPECT_THROW(mutual_information_ksg(xs, xs, 0), std::invalid_argument);
   EXPECT_THROW(mutual_information_ksg(xs, xs, 3), std::invalid_argument);
+}
+
+TEST(MutualInformationKsg, RejectsNonFiniteSamples) {
+  const std::vector<double> clean = uniform_samples(0.0, 1.0, 40, 96);
+  expect_rejected_by("mutual_information_ksg", [&] {
+    mutual_information_ksg(poisoned(kNaN, 20), clean, 3);
+  });
+  expect_rejected_by("mutual_information_ksg", [&] {
+    mutual_information_ksg(clean, poisoned(kInf, 20), 3);
+  });
+}
+
+TEST(LeakageFromDelays, RejectsNonFiniteSamples) {
+  const std::vector<double> clean = uniform_samples(0.0, 1.0, 40, 95);
+  expect_rejected_by("leakage_from_delays", [&] {
+    leakage_from_delays(poisoned(kNaN, 1), clean, 8);
+  });
+  expect_rejected_by("leakage_from_delays", [&] {
+    leakage_from_delays(clean, poisoned(kInf, 1), 8);
+  });
 }
 
 TEST(LeakageFromDelays, ValidatesSizes) {

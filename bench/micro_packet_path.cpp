@@ -260,10 +260,7 @@ BENCHMARK(BM_ScenarioRcadPoint)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   // Surfaced in the report's context block so BENCH_network.json records
-  // which crypto implementation and vector ISA produced the numbers.
-  benchmark::AddCustomContext(
-      "tempriv_scalar_crypto",
-      tempriv::crypto::scalar_crypto_build() ? "on" : "off");
+  // which vector ISA and lane widths produced the numbers.
   benchmark::AddCustomContext("tempriv_simd_isa",
                               tempriv::crypto::keystream_isa());
   benchmark::AddCustomContext(

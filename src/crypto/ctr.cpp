@@ -7,14 +7,6 @@
 
 namespace tempriv::crypto {
 
-bool scalar_crypto_build() noexcept {
-#if defined(TEMPRIV_SCALAR_CRYPTO)
-  return true;
-#else
-  return false;
-#endif
-}
-
 const char* keystream_isa() noexcept {
 #if defined(__AVX512F__)
   return "avx512f";
@@ -56,11 +48,6 @@ void CtrCipher::keystream_wave(std::uint64_t nonce, std::uint64_t counter,
 void CtrCipher::keystream_wave8(const std::uint64_t nonces[8],
                                 std::uint64_t counter,
                                 std::uint64_t out[8]) const noexcept {
-#if defined(TEMPRIV_SCALAR_CRYPTO)
-  for (int l = 0; l < 8; ++l) {
-    out[l] = reference::keystream_word(cipher_, nonces[l], counter);
-  }
-#else
   std::uint32_t x[8];
   std::uint32_t y[8];
   for (int l = 0; l < 8; ++l) {
@@ -73,7 +60,6 @@ void CtrCipher::keystream_wave8(const std::uint64_t nonces[8],
     out[l] = static_cast<std::uint64_t>(y[l]) |
              (static_cast<std::uint64_t>(x[l]) << 32);
   }
-#endif
 }
 
 void CtrCipher::crypt(std::uint64_t nonce,
@@ -84,9 +70,6 @@ void CtrCipher::crypt(std::uint64_t nonce,
 void CtrCipher::xor_keystream(std::uint64_t nonce,
                               std::span<const std::uint8_t> in,
                               std::span<std::uint8_t> out) const noexcept {
-#if defined(TEMPRIV_SCALAR_CRYPTO)
-  reference::xor_keystream(cipher_, nonce, in, out);
-#else
   constexpr std::size_t kBlock = Speck64_128::kBlockBytes;
   const std::size_t nbytes = in.size();
   const std::size_t nblocks = (nbytes + kBlock - 1) / kBlock;
@@ -124,14 +107,10 @@ void CtrCipher::xor_keystream(std::uint64_t nonce,
              load_le(in.data() + offset, chunk) ^ keystream_word(nonce, counter),
              chunk);
   }
-#endif
 }
 
 void CtrCipher::keystream(std::uint64_t nonce,
                           std::span<std::uint8_t> out) const noexcept {
-#if defined(TEMPRIV_SCALAR_CRYPTO)
-  reference::keystream(cipher_, nonce, out);
-#else
   constexpr std::size_t kBlock = Speck64_128::kBlockBytes;
   const std::size_t nbytes = out.size();
   const std::size_t nblocks = (nbytes + kBlock - 1) / kBlock;
@@ -162,7 +141,6 @@ void CtrCipher::keystream(std::uint64_t nonce,
     store_le(out.data() + offset, keystream_word(nonce, counter),
              nbytes - offset);
   }
-#endif
 }
 
 std::vector<std::uint8_t> CtrCipher::crypt_copy(
@@ -178,11 +156,6 @@ std::uint64_t CbcMac::tag(std::span<const std::uint8_t> data) const noexcept {
 
 void CbcMac::tag8(const std::uint8_t* const msgs[8], std::size_t len,
                   std::uint64_t tags[8]) const noexcept {
-#if defined(TEMPRIV_SCALAR_CRYPTO)
-  for (int l = 0; l < 8; ++l) {
-    tags[l] = reference::cbc_mac_tag(cipher_, {msgs[l], len});
-  }
-#else
   constexpr std::size_t kBlock = Speck64_128::kBlockBytes;
   // Lane l holds message l's chaining state; every lane performs exactly
   // the block sequence tag() does (length block, then zero-padded chain).
@@ -209,7 +182,6 @@ void CbcMac::tag8(const std::uint8_t* const msgs[8], std::size_t len,
     tags[l] = static_cast<std::uint64_t>(y[l]) |
               (static_cast<std::uint64_t>(x[l]) << 32);
   }
-#endif
 }
 
 }  // namespace tempriv::crypto

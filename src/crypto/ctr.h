@@ -8,12 +8,6 @@
 
 namespace tempriv::crypto {
 
-/// True when the crypto library was built with -DTEMPRIV_SCALAR_CRYPTO=ON
-/// (every entry point routed through the block-at-a-time scalar reference).
-/// Runtime-queryable so benchmark reports can record which implementation
-/// produced their numbers; the macro itself is private to the crypto target.
-bool scalar_crypto_build() noexcept;
-
 /// The vector instruction set the lane kernels were compiled against
 /// ("avx512f", "avx2", "sse2", "neon", …). Reported from inside the crypto
 /// library because it may be built for the host CPU (TEMPRIV_NATIVE_CRYPTO)
@@ -32,10 +26,8 @@ const char* keystream_isa() noexcept;
 /// waves: 8 (or 4) counters advance through the cipher's rounds in lockstep
 /// via Speck64_128::encrypt_words_lanes, and whole payloads are filled per
 /// round-key schedule with no per-block temporaries and no heap traffic.
-/// Building with -DTEMPRIV_SCALAR_CRYPTO=ON routes every entry point
-/// through the block-at-a-time scalar reference (crypto/reference.h)
-/// instead; both produce bit-identical bytes (see the width-equivalence
-/// property tests).
+/// The block-at-a-time scalar reference (crypto/reference.h) produces
+/// bit-identical bytes (see the width-equivalence property tests).
 class CtrCipher {
  public:
   /// Lane widths of the batched keystream walk: wide waves for long runs,

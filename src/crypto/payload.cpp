@@ -81,7 +81,6 @@ void PayloadCodec::seal_batch(std::span<const SensorPayload> payloads,
                               std::uint32_t origin_id,
                               std::span<SealedPayload> out) const noexcept {
   std::size_t i = 0;
-#if !defined(TEMPRIV_SCALAR_CRYPTO)
   constexpr std::size_t kWire = SensorPayload::kWireBytes;
   constexpr std::size_t kBlock = Speck64_128::kBlockBytes;
   constexpr std::size_t kBlocks = (kWire + kBlock - 1) / kBlock;
@@ -115,7 +114,6 @@ void PayloadCodec::seal_batch(std::span<const SensorPayload> payloads,
     mac_.tag8(ciphertexts, kWire, tags);
     for (std::size_t l = 0; l < kBatchLanes; ++l) out[i + l].tag = tags[l];
   }
-#endif
   for (; i < payloads.size(); ++i) out[i] = seal(payloads[i], origin_id);
 }
 
@@ -124,7 +122,6 @@ std::size_t PayloadCodec::open_batch(
     std::span<std::optional<SensorPayload>> out) const noexcept {
   std::size_t opened = 0;
   std::size_t i = 0;
-#if !defined(TEMPRIV_SCALAR_CRYPTO)
   constexpr std::size_t kWire = SensorPayload::kWireBytes;
   constexpr std::size_t kBlock = Speck64_128::kBlockBytes;
   constexpr std::size_t kBlocks = (kWire + kBlock - 1) / kBlock;
@@ -172,7 +169,6 @@ std::size_t PayloadCodec::open_batch(
       }
     }
   }
-#endif
   for (; i < sealed.size(); ++i) {
     out[i] = open(sealed[i]);
     opened += out[i].has_value();

@@ -11,12 +11,10 @@ namespace tempriv::crypto {
 /// time — the code the vectorized lane kernels must match bit for bit.
 ///
 /// Mirrors the src/infotheory/reference.* discipline: the scalar
-/// block-at-a-time implementations are kept compiled forever, the property
-/// tests compare the production (lane-batched) entry points against them on
-/// randomized key/nonce/length corpora, and `-DTEMPRIV_SCALAR_CRYPTO=ON`
-/// routes the production entry points through these functions outright so a
-/// miscompiled or misported lane kernel can always be bisected against the
-/// spec.
+/// block-at-a-time implementations are kept compiled in every build, and the
+/// property tests compare the production (lane-batched) entry points against
+/// them on randomized key/nonce/length corpora, so a miscompiled or
+/// misported lane kernel fails tier-1 against the spec.
 namespace reference {
 
 /// Keystream block i as a little-endian 64-bit word: E_K(nonce ^ i).

@@ -63,6 +63,7 @@ void Table::save_csv(const std::string& path) const {
   std::ofstream file(path);
   if (!file) throw std::runtime_error("Table::save_csv: cannot open " + path);
   write_csv(file);
+  file.close();  // flushes: a small CSV's write error surfaces only here
   if (!file) throw std::runtime_error("Table::save_csv: write failed for " + path);
 }
 

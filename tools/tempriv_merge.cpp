@@ -63,6 +63,16 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
+/// Writes `text` to `path`, throwing (naming the path) if the file cannot
+/// be opened or the final flush fails, e.g. on a full disk.
+void write_output(const std::string& path, const std::string& text) {
+  std::ofstream file(path);
+  if (!file) throw std::runtime_error("cannot open " + path + " for writing");
+  file << text;
+  file.close();
+  if (!file) throw std::runtime_error("short write on " + path);
+}
+
 int run(int argc, char** argv) {
   bool check_only = false;
   std::string jsonl_path;
@@ -123,21 +133,9 @@ int run(int argc, char** argv) {
   std::error_code ec;
   const auto parent = std::filesystem::path(jsonl_path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  {
-    std::ofstream jsonl_file(jsonl_path);
-    if (!jsonl_file) {
-      throw std::runtime_error("cannot open " + jsonl_path + " for writing");
-    }
-    jsonl_file << merged.jsonl;
-  }
+  write_output(jsonl_path, merged.jsonl);
   const std::string stats_path = campaign::shard_stats_path(jsonl_path);
-  {
-    std::ofstream stats_file(stats_path);
-    if (!stats_file) {
-      throw std::runtime_error("cannot open " + stats_path + " for writing");
-    }
-    stats_file << merged.stats_json;
-  }
+  write_output(stats_path, merged.stats_json);
 
   if (!telemetry_path.empty()) {
     // Shard snapshots fold with this process's own collect() (which carries

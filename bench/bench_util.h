@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -18,18 +19,28 @@ inline std::string results_dir() {
 }
 
 /// Prints the table to stdout and saves it as <results_dir>/<tag>.csv so
-/// every figure can be re-plotted from the emitted data.
+/// every figure can be re-plotted from the emitted data. A CSV that cannot
+/// be written is a failed run: the reason goes to stderr and the process
+/// exits 1 (the bench mains catch nothing, so a throw would abort).
 inline void emit(const std::string& tag, const metrics::Table& table) {
   std::cout << "\n== " << tag << " ==\n";
   table.print(std::cout);
   const std::string dir = results_dir();
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  if (!ec) {
-    const std::string path = dir + "/" + tag + ".csv";
-    table.save_csv(path);
-    std::cout << "(csv: " << path << ")\n";
+  if (ec) {
+    std::cerr << "error: cannot create results directory '" << dir
+              << "': " << ec.message() << "\n";
+    std::exit(1);
   }
+  const std::string path = dir + "/" + tag + ".csv";
+  try {
+    table.save_csv(path);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(1);
+  }
+  std::cout << "(csv: " << path << ")\n";
 }
 
 }  // namespace tempriv::bench

@@ -19,9 +19,13 @@ struct JobSpec {
 };
 
 /// A finished job. `wall_seconds` is measurement-only (progress/throughput
-/// reporting); everything else is a deterministic function of the spec, so
-/// two runs of the same campaign agree on all fields except `wall_seconds`
-/// regardless of worker count.
+/// reporting): the wall time of the simulation that produced `result`. Jobs
+/// of one campaign with identical scenarios share that simulation (see
+/// CampaignRunner::run) and so report the same `wall_seconds`, which keeps
+/// the per-job wall distribution a distribution of simulation cost.
+/// Everything else is a deterministic function of the spec, so two runs of
+/// the same campaign agree on all fields except `wall_seconds` regardless of
+/// worker count.
 struct JobResult {
   JobSpec spec;
   workload::ScenarioResult result;

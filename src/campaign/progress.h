@@ -16,13 +16,16 @@ class ProgressListener {
  public:
   virtual ~ProgressListener() = default;
 
-  /// Record one finished job that executed `sim_events` simulator events.
+  /// Record one finished job whose result took `sim_events` simulator
+  /// events. Called once per job: jobs that share one simulated run (see
+  /// CampaignRunner::run) each report that run's events.
   virtual void job_done(std::uint64_t sim_events) = 0;
 };
 
-/// Thread-safe campaign progress meter: prints "jobs done/total, simulated
-/// events/sec, ETA" lines to a stream (stderr in the CLI). Reporting is
-/// rate-limited.
+/// Thread-safe campaign progress meter: prints "jobs done/total, events/sec,
+/// ETA" lines to a stream (stderr in the CLI). The rate sums each finished
+/// job's events, so a run shared by several jobs counts once per job.
+/// Reporting is rate-limited.
 class ProgressReporter : public ProgressListener {
  public:
   /// `min_interval` throttles output; the final job always reports.

@@ -6,6 +6,8 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "campaign/thread_pool.h"
@@ -20,8 +22,9 @@ namespace {
 /// workers deposit results (keyed by their dense position in the submitted
 /// job list — not the global job index, which is stride-N in a shard run)
 /// as they finish; whenever the contiguous prefix grows, the depositing
-/// worker drains it. Bounded buffering (only out-of-order stragglers are
-/// held) and no dedicated merger thread.
+/// worker drains it. Only results ahead of the prefix are held: out-of-order
+/// stragglers, and the later jobs a shared run served early (at most one
+/// result per job). No dedicated merger thread.
 class InOrderMerger {
  public:
   InOrderMerger(std::vector<JobResult>& out, const std::vector<ResultSink*>& sinks)
@@ -86,39 +89,58 @@ std::vector<JobSpec> CampaignRunner::expand(
 
 std::vector<JobResult> CampaignRunner::run(
     const std::vector<JobSpec>& jobs, const std::vector<ResultSink*>& sinks) {
+  // Positions of the jobs that share each distinct scenario, groups in order
+  // of first occurrence. A group's run serves every job in it.
+  std::vector<std::vector<std::size_t>> groups;
+  {
+    std::unordered_map<std::string, std::size_t> group_of;
+    for (std::size_t order = 0; order < jobs.size(); ++order) {
+      const auto [it, inserted] = group_of.try_emplace(
+          scenario_fingerprint(jobs[order].scenario), groups.size());
+      if (inserted) groups.emplace_back();
+      groups[it->second].push_back(order);
+    }
+  }
+
   std::vector<JobResult> results;
   results.reserve(jobs.size());
   InOrderMerger merger(results, sinks);
   ProgressListener* progress = options_.progress;
 
   std::vector<std::future<void>> futures;
-  futures.reserve(jobs.size());
+  futures.reserve(groups.size());
   {
     ThreadPool pool(options_.threads);
-    for (std::size_t order = 0; order < jobs.size(); ++order) {
-      const JobSpec& spec = jobs[order];
-      futures.push_back(pool.submit([&merger, &spec, order, progress] {
+    for (const std::vector<std::size_t>& group : groups) {
+      futures.push_back(pool.submit([&merger, &jobs, &group, progress] {
         const auto start = std::chrono::steady_clock::now();
-        JobResult job;
-        job.spec = spec;
+        workload::ScenarioResult result;
         {
           TEMPRIV_TLM_SPAN("job");
-          job.result = workload::run_paper_scenario(spec.scenario);
+          result = workload::run_paper_scenario(jobs[group.front()].scenario);
         }
-        job.wall_seconds =
+        const double wall_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
                 .count();
-        TEMPRIV_TLM_COUNT(kCampaignJobs);
+        TEMPRIV_TLM_COUNT(kCampaignRuns);
+        TEMPRIV_TLM_COUNT_N(kCampaignJobs, group.size());
         TEMPRIV_TLM_HIST(kCampaignJobWallUs,
-                         static_cast<std::uint64_t>(job.wall_seconds * 1e6));
-        if (progress) progress->job_done(job.result.events_executed);
-        merger.deposit(order, std::move(job));
+                         static_cast<std::uint64_t>(wall_seconds * 1e6));
+        for (const std::size_t order : group) {
+          JobResult job;
+          job.spec = jobs[order];
+          job.result = result;
+          job.wall_seconds = wall_seconds;
+          if (progress) progress->job_done(job.result.events_executed);
+          merger.deposit(order, std::move(job));
+        }
       }));
     }
-    // Collect completions before the pool goes out of scope; a job that
-    // threw (and therefore never deposited) surfaces here. Rethrow the
-    // lowest-indexed failure so diagnostics are deterministic too.
+    // Collect completions before the pool goes out of scope; a run that
+    // threw (and therefore never deposited) surfaces here. Groups are in
+    // order of their first job, so the first failure found is the
+    // earliest-submitted failing job's: diagnostics stay deterministic.
     std::exception_ptr first_error;
     for (std::future<void>& f : futures) {
       try {

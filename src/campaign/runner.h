@@ -27,9 +27,15 @@ struct RunnerOptions {
 /// "ascending global job index" in both cases. Running the same job list
 /// with 1 or 64 workers therefore produces bit-identical sink output.
 ///
-/// Each job builds its own Simulator/Network from its JobSpec — the
-/// simulator is single-threaded and non-copyable by design, so jobs share
-/// nothing and need no locks.
+/// Each distinct scenario is simulated once per run() call. Jobs whose
+/// scenarios have the same scenario_fingerprint (equal in every field —
+/// e.g. Figure 2(a) and 2(b) read the same runs) form one group; the pool
+/// gets one task per group, in order of the group's first job, and that
+/// task hands a copy of its result to every job of the group. This cannot
+/// change a byte of output: run_paper_scenario is a pure function of its
+/// scenario. Nothing is cached between run() calls. Each task builds its
+/// own Simulator/Network — the simulator is single-threaded and
+/// non-copyable by design, so tasks share nothing and need no locks.
 class CampaignRunner {
  public:
   explicit CampaignRunner(RunnerOptions options) : options_(options) {}
@@ -53,8 +59,12 @@ class CampaignRunner {
 
   /// Runs every job; returns results in submission order. Sinks (not
   /// owned, may be empty) are fed in that order as jobs complete and
-  /// close()d before returning. If any job threw, the exception of the
-  /// earliest-submitted failing job is rethrown after the pool drains.
+  /// close()d before returning; a group's later jobs, served early by a
+  /// shared run, wait in the merger until every job before them is done.
+  /// The progress listener's job_done is called once per job, with that
+  /// job's event count. If a run threw, every job of its group failed; the
+  /// exception of the earliest-submitted failing job is rethrown after the
+  /// pool drains.
   std::vector<JobResult> run(const std::vector<JobSpec>& jobs,
                              const std::vector<ResultSink*>& sinks = {});
 

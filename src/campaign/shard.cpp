@@ -41,23 +41,6 @@ void fnv_mix(std::uint64_t& hash, const std::string& text) {
   hash *= kFnvPrime;
 }
 
-/// Canonical text form of one scenario point. Every field participates:
-/// two campaigns whose grids differ in any parameter (including seeds and
-/// the victim policy) must hash differently.
-std::string scenario_fingerprint(const workload::PaperScenario& s) {
-  std::ostringstream out;
-  out << json_number(s.interarrival) << '|' << s.packets_per_source << '|'
-      << json_number(s.mean_delay) << '|' << s.buffer_slots << '|'
-      << json_number(s.hop_tx_delay) << '|' << workload::to_string(s.scheme)
-      << '|' << static_cast<int>(s.victim) << '|'
-      << json_number(s.adaptive_threshold) << '|' << s.seed << '|';
-  for (const std::uint16_t hops : s.hop_counts) out << hops << ',';
-  out << '|' << s.shared_tail << '|' << json_number(s.sink_weighting) << '|'
-      << workload::to_string(s.source) << '|' << json_number(s.hop_jitter)
-      << '|' << (s.trace ? 1 : 0);
-  return out.str();
-}
-
 }  // namespace
 
 ShardSpec parse_shard_spec(const std::string& text) {
@@ -88,6 +71,29 @@ ShardSpec parse_shard_spec(const std::string& text) {
 std::size_t shard_jobs_owned(std::size_t total_jobs, const ShardSpec& spec) {
   if (spec.index >= total_jobs) return 0;
   return (total_jobs - spec.index - 1) / spec.count + 1;
+}
+
+// The fingerprint must name every PaperScenario field, or two scenarios
+// that differ only in an unnamed field would share one simulated run. A new
+// field changes the struct's size on LP64 targets (unless it fits in
+// padding), so this stops the build until the fingerprint names it.
+// CampaignRunnerTest.FieldVariantsNeverShareARun varies each field too.
+static_assert(sizeof(void*) != 8 || sizeof(workload::PaperScenario) == 128,
+              "PaperScenario changed: add the new field to "
+              "scenario_fingerprint, then update this size");
+
+std::string scenario_fingerprint(const workload::PaperScenario& s) {
+  std::ostringstream out;
+  out << json_number(s.interarrival) << '|' << s.packets_per_source << '|'
+      << json_number(s.mean_delay) << '|' << s.buffer_slots << '|'
+      << json_number(s.hop_tx_delay) << '|' << workload::to_string(s.scheme)
+      << '|' << static_cast<int>(s.victim) << '|'
+      << json_number(s.adaptive_threshold) << '|' << s.seed << '|';
+  for (const std::uint16_t hops : s.hop_counts) out << hops << ',';
+  out << '|' << s.shared_tail << '|' << json_number(s.sink_weighting) << '|'
+      << workload::to_string(s.source) << '|' << json_number(s.hop_jitter)
+      << '|' << (s.trace ? 1 : 0);
+  return out.str();
 }
 
 std::uint64_t campaign_config_hash(

@@ -49,8 +49,17 @@ struct CampaignManifest {
   std::uint64_t config_hash = 0;
 };
 
+/// Canonical text form of one scenario: every PaperScenario field, doubles
+/// as round-trippable decimals. Scenarios with equal fingerprints are equal
+/// field for field, so run_paper_scenario (a pure function of its
+/// scenario) returns the same result for both. This is the config hash's
+/// input and the key under which CampaignRunner::run simulates each
+/// distinct scenario once.
+std::string scenario_fingerprint(const workload::PaperScenario& scenario);
+
 /// FNV-1a-64 over a canonical serialization of (tag, reps, every scenario
-/// point). Any change to any parameter of any point changes the hash.
+/// point's fingerprint). Any change to any parameter of any point changes
+/// the hash.
 std::uint64_t campaign_config_hash(
     const std::string& tag, std::uint32_t reps,
     const std::vector<workload::PaperScenario>& points);

@@ -157,7 +157,7 @@ void write_campaign_stats_json(std::ostream& os,
 void print_campaign_summary(std::ostream& os, const CampaignStats& total,
                             std::size_t points, std::uint32_t reps) {
   os << "campaign: " << total.jobs << " jobs (" << points << " points x "
-     << reps << " reps), " << total.sim_events << " simulator events\n"
+     << reps << " reps), " << total.sim_events << " events over all jobs\n"
      << "  flow mean latency: mean "
      << metrics::format_number(total.flow_latency.mean(), 2) << "  min "
      << metrics::format_number(total.flow_latency.min(), 2) << "  max "

@@ -45,6 +45,7 @@ enum class Counter : std::uint32_t {
   kNetDropTailDropped,  ///< packets destroyed by a full drop-tail buffer
   // campaign
   kCampaignJobs,        ///< scenario jobs completed by runner workers
+  kCampaignRuns,        ///< distinct scenarios simulated (<= jobs; repeats share a run)
   kCount,
 };
 
@@ -60,7 +61,7 @@ enum class Gauge : std::uint32_t {
 enum class Hist : std::uint32_t {
   kBufOccupancy,      ///< DelayBuffer size after each admit
   kNetBatchLaneFill,  ///< payloads per seal_batch lane group in originate_batch
-  kCampaignJobWallUs, ///< per-job wall time, microseconds
+  kCampaignJobWallUs, ///< wall time of each simulated run, microseconds
   kCount,
 };
 

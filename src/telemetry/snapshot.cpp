@@ -43,6 +43,8 @@ const char* name(Counter counter) noexcept {
       return "net.droptail_dropped";
     case Counter::kCampaignJobs:
       return "campaign.jobs";
+    case Counter::kCampaignRuns:
+      return "campaign.runs";
     case Counter::kCount:
       break;
   }

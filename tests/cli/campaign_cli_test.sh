@@ -12,7 +12,9 @@
 #      tempriv-merge --telemetry combines shard snapshots / fails when a
 #      sibling is missing;
 #   5. an artifact write that fails (a path on /dev/full) exits 1, for the
-#      serial run and for tempriv-merge.
+#      serial run and for tempriv-merge;
+#   6. a results directory that cannot be created (a path below a regular
+#      file) exits 1 with a message naming it, for both tools.
 #
 # Usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge>
 
@@ -199,6 +201,23 @@ if [ -w /dev/full ]; then
 else
   echo "note: /dev/full is absent; skipping the failed-write checks" >&2
 fi
+
+# --- 6. a results directory that cannot be created exits 1 ---------------
+
+# A path below a regular file can never become a directory. The JSONL goes
+# elsewhere, so the CSV's results directory is the only thing that fails.
+touch "$WORK/plainfile"
+BAD_DIR="$WORK/plainfile/results"
+expect_exit 1 "serial run with an uncreatable results directory" \
+  env TEMPRIV_RESULTS_DIR="$BAD_DIR" \
+  "$CAMPAIGN" "${GRID_ARGS[@]}" --jsonl "$WORK/baddir/serial.jsonl"
+grep -q "cannot create results directory '$BAD_DIR'" "$WORK/err.log" ||
+  note_failure "tempriv-campaign did not name the uncreatable results directory"
+expect_exit 1 "merge with an uncreatable results directory" \
+  env TEMPRIV_RESULTS_DIR="$BAD_DIR" \
+  "$MERGE" --jsonl "$WORK/baddir/merged.jsonl" "${SHARDS[@]}"
+grep -q "cannot create results directory '$BAD_DIR'" "$WORK/err.log" ||
+  note_failure "tempriv-merge did not name the uncreatable results directory"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES failure(s)" >&2
